@@ -35,7 +35,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A tmp-file name unique across processes (PID) *and* across threads
 /// and repeated calls within one process (counter). A fixed
-/// `.tmp-<pid>` suffix would let two server shards — same PID, same
+/// `.tmp-<pid>` suffix would let two sweep workers — same PID, same
 /// target — clobber each other's tmp mid-write.
 pub(crate) fn unique_tmp(path: &Path) -> PathBuf {
     PathBuf::from(format!(

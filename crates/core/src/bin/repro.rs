@@ -5,9 +5,6 @@
 //! repro pressure [--faults rate=R,window=W,seed=S] [--cores N]
 //! repro <experiment> --resume [--retries N]
 //! repro --check [--seeds N] [--events N] [--jobs N] [--faults SPEC]
-//! repro serve [--port N] [--port-file PATH] [--jobs N] [--quota N] ...
-//! repro serve-bench --port N [--conns N] [--requests N] [--verify-sweep] ...
-//! repro chaos-serve [--chaos rate=R,window=W,seed=S] [--conns N] ...
 //! repro torture [--seeds N] [--io-faults rate=R,window=W,seed=S] ...
 //!
 //! experiments:
@@ -141,14 +138,6 @@ fn usage() -> ! {
          \u{20}           SMP oracle runs too; 'repro pressure --check' arms\n\
          \u{20}           fault injection under the same oracle\n\
          subcommands:\n\
-         \u{20} serve        long-running translation/sweep server over TCP\n\
-         \u{20}              (line-delimited JSON; 'repro serve --help')\n\
-         \u{20} serve-bench  load generator + determinism checker for serve;\n\
-         \u{20}              writes results/BENCH_serve.json\n\
-         \u{20} chaos-serve  seeded network-fault soak of serve (deadlines,\n\
-         \u{20}              retries, shedding, drain); writes\n\
-         \u{20}              results/BENCH_chaos.json, nonzero exit on any\n\
-         \u{20}              failed verdict\n\
          \u{20} torture      crash-consistency torture: fault schedules x\n\
          \u{20}              simulated power cuts, five gated verdicts\n\
          \u{20}              ('repro torture --help'); writes\n\
@@ -200,8 +189,8 @@ fn report_quarantined() {
 
 /// Prints the `--io-faults` injected-vs-accounted ledger at exit: each
 /// error kind the seam injected next to what the degradation sites
-/// accounted, plus the flip-detection tallies. The two columns matching
-/// is the storage analogue of the chaos soak's conservation checks.
+/// accounted, plus the flip-detection tallies. The two columns must
+/// match: every injected fault is handled somewhere.
 fn print_io_fault_ledger(faulty: &colt_core::vfs::FaultyVfs) {
     let counts = faulty.counts();
     let ledger = colt_core::io_faults::ledger();
@@ -252,14 +241,10 @@ fn main() -> ExitCode {
     // The CLI wants preparation snapshots to survive the process (the
     // library default is memory-only, keeping test binaries hermetic).
     snapshot_cache::set_disk_persistence(true);
-    // The serve subcommands own their argument lists entirely.
+    // The torture subcommand owns its argument list entirely.
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("serve") => return colt_core::serve::cli(&raw[1..]),
-        Some("serve-bench") => return colt_core::serve_bench::cli(&raw[1..]),
-        Some("chaos-serve") => return colt_core::chaos_serve::cli(&raw[1..]),
-        Some("torture") => return colt_core::experiments::torture::cli(&raw[1..]),
-        _ => {}
+    if raw.first().map(String::as_str) == Some("torture") {
+        return colt_core::experiments::torture::cli(&raw[1..]);
     }
     // Quarantine files are crash evidence a human should look at; say
     // so loudly before any new run buries them deeper.

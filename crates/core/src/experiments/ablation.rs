@@ -32,9 +32,12 @@ pub struct AblationRow {
 /// Fans one ablation block out across the sweep runner: every selected
 /// benchmark × (baseline + each variant) is one cell; `make_cfg` maps a
 /// TLB config onto the block's simulation settings (e.g. shootdown
-/// churn). Returns per-variant averages of % misses eliminated.
+/// churn). `block` names the block in the cell labels, which must be
+/// unique across blocks for the journal. Returns per-variant averages
+/// of % misses eliminated.
 fn average_elimination_with(
     opts: &ExperimentOptions,
+    block: &str,
     scenario: &Scenario,
     make_cfg: impl Fn(TlbConfig) -> SimConfig,
     variants: &[(String, TlbConfig)],
@@ -47,7 +50,7 @@ fn average_elimination_with(
             .enumerate()
         {
             cells.push(SweepCell::sim(
-                format!("ablation/{}/v{i}", spec.name),
+                format!("ablation/{block}/{}/v{i}", spec.name),
                 scenario,
                 spec,
                 make_cfg(tlb),
@@ -77,10 +80,12 @@ fn average_elimination_with(
 
 fn average_elimination(
     opts: &ExperimentOptions,
+    block: &str,
     variants: &[(String, TlbConfig)],
 ) -> Vec<AblationRow> {
     average_elimination_with(
         opts,
+        block,
         &opts.scenario(Scenario::default_linux()),
         |tlb| SimConfig {
             pattern_seed: opts.seed,
@@ -98,7 +103,7 @@ pub fn l2_fill_policy(opts: &ExperimentOptions) -> Vec<AblationRow> {
         ("CoLT-All, fill L2 (paper)".to_string(), TlbConfig::colt_all()),
         ("CoLT-All, no L2 fill".to_string(), TlbConfig { fill_l2_on_fa: false, ..TlbConfig::colt_all() }),
     ];
-    average_elimination(opts, &variants)
+    average_elimination(opts, "l2-fill", &variants)
 }
 
 /// §4.2.4: the superpage-TLB size halving.
@@ -109,7 +114,7 @@ pub fn fa_size(opts: &ExperimentOptions) -> Vec<AblationRow> {
         ("CoLT-All, 8-entry SP (paper)".to_string(), TlbConfig::colt_all()),
         ("CoLT-All, 16-entry SP".to_string(), TlbConfig { sp_entries: 16, ..TlbConfig::colt_all() }),
     ];
-    average_elimination(opts, &variants)
+    average_elimination(opts, "fa-size", &variants)
 }
 
 /// §4.3.1: CoLT-All's routing threshold.
@@ -123,7 +128,7 @@ pub fn all_threshold(opts: &ExperimentOptions) -> Vec<AblationRow> {
             )
         })
         .collect();
-    average_elimination(opts, &variants)
+    average_elimination(opts, "threshold", &variants)
 }
 
 /// §4.2.1 step 5: resident-entry merging in the superpage TLB.
@@ -135,7 +140,7 @@ pub fn fa_merge(opts: &ExperimentOptions) -> Vec<AblationRow> {
             TlbConfig { fa_resident_merge: false, ..TlbConfig::colt_fa() },
         ),
     ];
-    average_elimination(opts, &variants)
+    average_elimination(opts, "fa-merge", &variants)
 }
 
 /// The §4.1.5/§4.2.3 future-work refinements, each measured against the
@@ -150,6 +155,7 @@ pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
     // (a) Replacement policy, plain conditions.
     rows.extend(average_elimination(
         opts,
+        "replacement",
         &[
             ("CoLT-All, LRU (paper)".to_string(), TlbConfig::colt_all()),
             (
@@ -165,6 +171,7 @@ pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
     // (b) Graceful invalidation, under shootdown churn.
     rows.extend(average_elimination_with(
         opts,
+        "shootdowns",
         &opts.scenario(Scenario::default_linux()),
         |tlb| SimConfig {
             pattern_seed: opts.seed,
@@ -185,6 +192,7 @@ pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
     // (c) Attribute tolerance, with dirty pages breaking runs.
     rows.extend(average_elimination_with(
         opts,
+        "dirty",
         &opts.scenario(Scenario::default_linux().with_dirty_fraction(0.3)),
         |tlb| SimConfig {
             pattern_seed: opts.seed,

@@ -48,7 +48,11 @@ pub fn run_figure(ths: bool, opts: &ExperimentOptions) -> MemhogFigure {
                 Scenario::no_ths_with_memhog(fraction)
             });
             cells.push(SweepCell::new(
-                format!("fig16-17/{}/memhog({fraction})", spec.name),
+                format!(
+                    "fig16-17/{}/ths-{}/memhog({fraction})",
+                    spec.name,
+                    if ths { "on" } else { "off" }
+                ),
                 &scenario,
                 spec,
                 0,

@@ -224,8 +224,7 @@ impl ExperimentOutput {
 
 /// The result of [`run_named`]: the rendered output plus the structured
 /// side products some experiments produce (the binary feeds them into
-/// `BENCH_smp.json` / `BENCH_pressure.json`; `repro serve` only needs
-/// the tables).
+/// `BENCH_smp.json` / `BENCH_pressure.json`).
 pub struct NamedRun {
     /// The experiment's tables.
     pub output: ExperimentOutput,
@@ -239,9 +238,7 @@ pub struct NamedRun {
 
 /// Dispatches one experiment by its CLI name (`fig18`, `table1`, …).
 /// `None` for an unknown name — no side effects, no partial run. This
-/// is the single name→driver table; the `repro` binary and the serve
-/// dispatcher both route through it so a sweep served over a socket is
-/// the same code path as one run directly.
+/// is the single name→driver table the `repro` binary routes through.
 pub fn run_named(name: &str, opts: &ExperimentOptions) -> Option<NamedRun> {
     let mut smp_rows: Vec<smp::SmpRow> = Vec::new();
     let mut pressure_report: Option<pressure::PressureReport> = None;

@@ -32,8 +32,11 @@ pub struct NoiseRow {
     pub max_elim: f64,
 }
 
+/// Average eliminations for one seed pair. `axis` tags the cell labels:
+/// both axes run the base seed pair, and journal labels must be unique.
 fn elim_for(
     opts: &ExperimentOptions,
+    axis: &str,
     scenario_seed: u64,
     pattern_seed: u64,
 ) -> [f64; 3] {
@@ -48,7 +51,10 @@ fn elim_for(
                 ..SimConfig::new(tlb).with_accesses(opts.accesses)
             };
             cells.push(SweepCell::sim(
-                format!("noise/{}/s{scenario_seed:x}/p{pattern_seed:x}/v{i}", spec.name),
+                format!(
+                    "noise/{axis}/{}/s{scenario_seed:x}/p{pattern_seed:x}/v{i}",
+                    spec.name
+                ),
                 &scenario,
                 spec,
                 cfg,
@@ -74,11 +80,15 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<NoiseRow>, ExperimentOutput) {
 
     // Axis 1: pattern seeds over the fixed default layout.
     let pattern_runs: Vec<[f64; 3]> = (0..3)
-        .map(|i| elim_for(opts, base_scenario_seed, opts.seed.wrapping_add(i * 7919)))
+        .map(|i| {
+            elim_for(opts, "pattern", base_scenario_seed, opts.seed.wrapping_add(i * 7919))
+        })
         .collect();
     // Axis 2: scenario seeds with the fixed default pattern seed.
     let scenario_runs: Vec<[f64; 3]> = (0..3)
-        .map(|i| elim_for(opts, base_scenario_seed.wrapping_add(i * 104_729), opts.seed))
+        .map(|i| {
+            elim_for(opts, "history", base_scenario_seed.wrapping_add(i * 104_729), opts.seed)
+        })
         .collect();
 
     for (axis, runs) in [("pattern seed", &pattern_runs), ("machine history", &scenario_runs)] {

@@ -150,8 +150,9 @@ fn scenario_for(rate: f64, base: FaultConfig, policy: PolicyKind) -> Scenario {
     }
 }
 
-/// Runs the sweep. Deterministic at any `jobs` width.
-pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
+/// The (fault rate, scenario, benchmark) preparations the single-core
+/// sweep runs on, in sweep order.
+pub(crate) fn preparations(opts: &ExperimentOptions) -> Vec<(f64, Scenario, BenchmarkSpec)> {
     let base_cfg = opts.faults.unwrap_or_default();
     let specs: Vec<BenchmarkSpec> = match &opts.benchmarks {
         Some(_) => opts.selected_benchmarks(),
@@ -161,25 +162,35 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
             .collect(),
     };
     let rates = intensities(base_cfg.rate);
+    let mut out = Vec::new();
+    for spec in specs {
+        for &rate in &rates {
+            out.push((rate, scenario_for(rate, base_cfg, opts.policy), spec.clone()));
+        }
+    }
+    out
+}
+
+/// Runs the sweep. Deterministic at any `jobs` width.
+pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
+    let base_cfg = opts.faults.unwrap_or_default();
+    let rates = intensities(base_cfg.rate);
     let configs = check_configs();
 
     let mut meta: Vec<(String, String, f64)> = Vec::new();
     let mut cells: Vec<SweepCell<(crate::sim::SimResult, KernelStats)>> = Vec::new();
-    for spec in &specs {
-        for &rate in &rates {
-            let scenario = scenario_for(rate, base_cfg, opts.policy);
-            for (cname, tlb_cfg) in &configs {
-                let label = format!("pressure/{}/{cname}/r{rate:.3}", spec.name);
-                let cfg = SimConfig {
-                    pattern_seed: opts.seed,
-                    ..SimConfig::new(*tlb_cfg).with_accesses(opts.accesses)
-                };
-                meta.push((spec.name.to_string(), cname.clone(), rate));
-                let refs = cfg.warmup + cfg.accesses;
-                cells.push(SweepCell::new(label, &scenario, spec, refs, move |w| {
-                    (crate::sim::run(w, &cfg), w.kernel.stats())
-                }));
-            }
+    for (rate, scenario, spec) in preparations(opts) {
+        for (cname, tlb_cfg) in &configs {
+            let label = format!("pressure/{}/{cname}/r{rate:.3}", spec.name);
+            let cfg = SimConfig {
+                pattern_seed: opts.seed,
+                ..SimConfig::new(*tlb_cfg).with_accesses(opts.accesses)
+            };
+            meta.push((spec.name.to_string(), cname.clone(), rate));
+            let refs = cfg.warmup + cfg.accesses;
+            cells.push(SweepCell::new(label, &scenario, &spec, refs, move |w| {
+                (crate::sim::run(w, &cfg), w.kernel.stats())
+            }));
         }
     }
 

@@ -4,30 +4,32 @@
 //! The harness sweeps seeded storage-fault schedules × simulated
 //! power-cut points over the full durable stack at once: the pressure
 //! sweep journaling through [`crate::journal`], preparation snapshots
-//! through [`crate::snapshot_cache`], the `BENCH_pressure.json`
-//! artifact through [`crate::artifact`], and a serve-cache persist leg
-//! through [`crate::serve`]'s entry codec. Every cycle:
+//! through [`crate::snapshot_cache`], and the `BENCH_pressure.json`
+//! artifact through [`crate::artifact`]. Every cycle:
 //!
 //! 1. **Doomed run** — a [`FaultyVfs`](crate::vfs::FaultyVfs) with the
 //!    cycle's fault plan armed and a dead-disk point `k` fsyncs in is
 //!    installed; the pressure sweep runs to completion under ENOSPC,
 //!    EIO, short writes, failed and lying fsyncs, dropped renames, and
-//!    read-back bit flips, then the artifact and serve-cache writes
-//!    land (or degrade) on the dying disk.
+//!    read-back bit flips, storing its preparation snapshots as it
+//!    goes, then the artifact write lands (or degrades) on the dying
+//!    disk.
 //! 2. **Power cut** — [`power_cut`](crate::vfs::FaultyVfs::power_cut)
 //!    reconciles the disk to its durable contents: unsynced renames are
 //!    undone (clobbered destinations restored), lying-fsync bytes
 //!    truncated away.
-//! 3. **Faulted audit** — the journal and serve cache re-open *cold,
-//!    still under faults*, exercising the read-side detection paths
-//!    (CRC quarantine, checksum verdicts, flip confirmation).
+//! 3. **Faulted audit** — the journal and the preparation snapshots
+//!    re-open *cold, still under faults*, exercising the read-side
+//!    detection paths (CRC quarantine, checksum verdicts, flip
+//!    confirmation).
 //! 4. **Verdicts** — the seam is uninstalled and five gates are
 //!    checked with evidence: zero panics; no corrupt bytes ever
 //!    accepted (every detected corruption quarantined, no pending
 //!    undetected flips, no torn `BENCH_*` or permanent tmp litter);
 //!    `--resume` byte-identity against an unfaulted reference run; warm
-//!    serve-cache restart identity (every surviving entry
-//!    byte-identical to what was persisted); and an exact
+//!    snapshot identity (every snapshot that survived the cut loads and
+//!    re-encodes to the same bytes as a fresh `Scenario::prepare`, and
+//!    every damaged one is quarantined); and an exact
 //!    faults-injected == faults-accounted ledger.
 //!
 //! Everything is deterministic under `--io-faults seed=S`: the same
@@ -40,6 +42,9 @@ use crate::journal::Journal;
 use crate::snapshot_cache;
 use crate::vfs::{self, FaultyVfs};
 use colt_os_mem::faults::FaultConfig;
+use colt_workloads::scenario::Scenario;
+use colt_workloads::spec::BenchmarkSpec;
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -102,11 +107,14 @@ struct CycleOutcome {
     injected: IoFaultCounts,
     ledger: LedgerSnapshot,
     renames_dropped: u64,
-    /// Keys whose serve-cache persist returned Ok before the cut.
-    persisted_keys: Vec<String>,
-    /// Entries the clean warm reload produced.
-    warm_entries: Vec<(String, String)>,
+    /// Snapshots present on the clean disk after the cut and audit.
+    snapshots_survived: u64,
+    /// Survivors that loaded warm and matched the fresh preparation.
+    warm_loaded: u64,
+    /// Survivors that failed to load and were quarantined.
     warm_quarantined: u64,
+    /// Survivors that broke the warm contract, with the reason.
+    warm_bad: Vec<String>,
     tmp_swept: u64,
     tmp_remaining: u64,
     quarantined_files: u64,
@@ -116,20 +124,36 @@ struct CycleOutcome {
     resume_json: String,
 }
 
-/// The payload entries the serve-cache leg persists each cycle. Fixed
-/// and deterministic so byte-identity is checkable after the cut.
-fn cache_payload() -> Vec<(String, String)> {
-    (0..4)
-        .map(|i| {
-            (
-                format!("torture-key-{i}"),
-                format!(
-                    "{{\"cell\": {i}, \"payload\": \"{}\"}}",
-                    "colt".repeat(i + 1)
-                ),
-            )
-        })
-        .collect()
+/// One preparation of the payload sweep, with the snapshot body of a
+/// fresh `Scenario::prepare` — the bytes every warm load must
+/// re-encode to.
+struct FreshPrep {
+    scenario: Scenario,
+    spec: BenchmarkSpec,
+    key: String,
+    /// Built on first use, so only pairs whose snapshot survived a cut
+    /// pay for a fresh preparation.
+    body: OnceCell<Result<Vec<u8>, String>>,
+}
+
+impl FreshPrep {
+    fn new(scenario: Scenario, spec: BenchmarkSpec) -> Self {
+        let key = snapshot_cache::prep_key(&scenario, &spec);
+        FreshPrep { scenario, spec, key, body: OnceCell::new() }
+    }
+
+    /// The fresh snapshot body, bypassing the snapshot cache.
+    fn body(&self) -> Result<&[u8], &str> {
+        self.body
+            .get_or_init(|| {
+                let workload = self.scenario.prepare(&self.spec).map_err(|e| {
+                    format!("fresh preparation of {} failed: {e}", self.spec.name)
+                })?;
+                Ok(snapshot_cache::snapshot_body(&self.key, &workload))
+            })
+            .as_deref()
+            .map_err(String::as_str)
+    }
 }
 
 /// The experiment options both the reference and every cycle use. One
@@ -155,19 +179,19 @@ fn payload_json(report: &pressure::PressureReport) -> String {
 /// inside `cyc`.
 fn run_cycle(
     cfg: &TortureConfig,
+    fresh: &[FreshPrep],
     cyc: &Path,
     plan: FaultConfig,
     cut_after: u64,
 ) -> CycleOutcome {
     let mut out = CycleOutcome::default();
     let journal_dir = cyc.join("journal");
-    let cache_dir = cyc.join("cache");
+    let snap_dir = cyc.join("snapshots");
     let bench_path = cyc.join("BENCH_pressure.json");
-    let _ = std::fs::create_dir_all(&cache_dir);
 
     // Phase 1: the doomed run, everything through the faulty seam.
     io_faults::reset_ledger();
-    snapshot_cache::set_dir_override(Some(cyc.join("snapshots")));
+    snapshot_cache::set_dir_override(Some(snap_dir.clone()));
     snapshot_cache::clear_memory();
     let faulty = FaultyVfs::new(plan).cut_after_syncs(cut_after);
     vfs::install(Arc::new(faulty.clone()));
@@ -183,18 +207,8 @@ fn run_cycle(
         }
         let (report, _) = pressure::run(&opts);
         let _ = artifact::atomic_write_json(&bench_path, &payload_json(&report));
-        let mut persisted = Vec::new();
-        for (key, bytes) in cache_payload() {
-            if crate::serve::persist_cache_entry(&cache_dir, &key, &bytes).is_ok() {
-                persisted.push(key);
-            }
-        }
-        persisted
     }));
-    match doomed {
-        Ok(persisted) => out.persisted_keys = persisted,
-        Err(_) => out.panicked = true,
-    }
+    out.panicked = doomed.is_err();
 
     // Phase 2: the power cut. The disk is reconciled to durable bytes
     // and revived (still faulty) for the audit.
@@ -210,7 +224,9 @@ fn run_cycle(
             opts.fingerprint("pressure"),
             true,
         );
-        let _ = crate::serve::load_cache_entries(&cache_dir, true);
+        for prep in fresh {
+            let _ = snapshot_cache::load_from(&snap_dir, &prep.key, &prep.spec);
+        }
     }));
     out.panicked |= audit.is_err();
 
@@ -226,10 +242,7 @@ fn run_cycle(
     out.tmp_remaining = artifact::find_tmp_litter(cyc).len() as u64;
     out.quarantined_files = artifact::find_quarantined(cyc).len() as u64;
 
-    // Warm serve-cache reload: whatever survived must be byte-exact.
-    let (entries, q) = crate::serve::load_cache_entries(&cache_dir, true);
-    out.warm_entries = entries;
-    out.warm_quarantined = q;
+    reload_snapshots(&snap_dir, fresh, &mut out);
 
     // A surviving BENCH artifact must be whole; a torn one must have
     // been quarantined, never left in place.
@@ -258,11 +271,37 @@ fn run_cycle(
     out
 }
 
+/// The warm half of `warm_identity`, on a clean disk: every snapshot
+/// that survived must load and re-encode to the fresh preparation's
+/// bytes; every damaged one must be quarantined, never served.
+fn reload_snapshots(snap_dir: &Path, fresh: &[FreshPrep], out: &mut CycleOutcome) {
+    for prep in fresh {
+        let path = snapshot_cache::snapshot_path(snap_dir, &prep.key);
+        if !path.exists() {
+            continue;
+        }
+        out.snapshots_survived += 1;
+        match snapshot_cache::load_from(snap_dir, &prep.key, &prep.spec) {
+            Some(w) => match prep.body() {
+                Ok(body) if snapshot_cache::snapshot_body(&prep.key, &w) == body => {
+                    out.warm_loaded += 1;
+                }
+                Ok(_) => out.warm_bad.push(format!(
+                    "{} loaded but differs from a fresh preparation",
+                    path.display()
+                )),
+                Err(why) => out.warm_bad.push(why.to_string()),
+            },
+            None if path.exists() => out
+                .warm_bad
+                .push(format!("{} neither loaded nor quarantined", path.display())),
+            None => out.warm_quarantined += 1,
+        }
+    }
+}
+
 /// Folds every cycle into the five gated verdicts.
 fn judge(cycles: &[(String, CycleOutcome)], ref_json: &str) -> Vec<Verdict> {
-    let payload: std::collections::BTreeMap<String, String> =
-        cache_payload().into_iter().collect();
-
     let panics: Vec<&str> =
         cycles.iter().filter(|(_, c)| c.panicked).map(|(l, _)| l.as_str()).collect();
 
@@ -294,15 +333,12 @@ fn judge(cycles: &[(String, CycleOutcome)], ref_json: &str) -> Vec<Verdict> {
         .collect();
 
     let mut warm_bad = Vec::new();
-    let (mut warm_loaded, mut warm_persisted) = (0usize, 0usize);
+    let (mut warm_loaded, mut warm_survived, mut warm_quarantined) = (0, 0, 0);
     for (label, c) in cycles {
-        warm_loaded += c.warm_entries.len();
-        warm_persisted += c.persisted_keys.len();
-        for (key, bytes) in &c.warm_entries {
-            if payload.get(key) != Some(bytes) {
-                warm_bad.push(format!("{label}: entry '{key}' reloaded with different bytes"));
-            }
-        }
+        warm_loaded += c.warm_loaded;
+        warm_survived += c.snapshots_survived;
+        warm_quarantined += c.warm_quarantined;
+        warm_bad.extend(c.warm_bad.iter().map(|why| format!("{label}: {why}")));
     }
 
     let mut ledger_bad = Vec::new();
@@ -367,8 +403,9 @@ fn judge(cycles: &[(String, CycleOutcome)], ref_json: &str) -> Vec<Verdict> {
             pass: warm_bad.is_empty(),
             evidence: if warm_bad.is_empty() {
                 format!(
-                    "{warm_loaded} of {warm_persisted} persisted cache entries survived \
-                     the cuts, every one byte-identical"
+                    "{warm_loaded} of {warm_survived} snapshot(s) that survived the cuts \
+                     loaded warm, each re-encoding byte-identical to a fresh \
+                     preparation; {warm_quarantined} damaged one(s) quarantined"
                 )
             } else {
                 warm_bad.join("; ")
@@ -479,6 +516,10 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
         ));
     }
     let ref_json = payload_json(&ref_report);
+    let fresh: Vec<FreshPrep> = pressure::preparations(&payload_opts(cfg))
+        .into_iter()
+        .map(|(_, scenario, spec)| FreshPrep::new(scenario, spec))
+        .collect();
 
     let mut cycles: Vec<(String, CycleOutcome)> = Vec::new();
     for s in 0..cfg.seeds.max(1) {
@@ -490,7 +531,7 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
             let cyc = scratch.join(&label);
             std::fs::create_dir_all(&cyc)
                 .map_err(|e| format!("create {}: {e}", cyc.display()))?;
-            let outcome = run_cycle(cfg, &cyc, plan, cut_after);
+            let outcome = run_cycle(cfg, &fresh, &cyc, plan, cut_after);
             if !cfg.quiet {
                 println!(
                     "torture: {label}: {} fault(s) injected, {} accounted, {} flip(s) \
@@ -550,10 +591,10 @@ fn torture_usage() -> String {
      \u{20}                    [--io-faults rate=R,window=W,seed=S] [--out PATH]\n\
      \u{20}                    [--quiet]\n\
      Sweeps seeded storage-fault schedules x simulated power-cut points\n\
-     over the journal, snapshot, artifact, and serve-cache layers, then\n\
-     gates five crash-consistency verdicts with evidence: zero panics,\n\
-     no corrupt bytes accepted, --resume byte-identity, warm-cache\n\
-     identity, and an exact injected-vs-accounted fault ledger. Writes\n\
+     over the journal, snapshot, and artifact layers, then gates five\n\
+     crash-consistency verdicts with evidence: zero panics, no corrupt\n\
+     bytes accepted, --resume byte-identity, warm-snapshot identity,\n\
+     and an exact injected-vs-accounted fault ledger. Writes\n\
      results/BENCH_torture.json and exits nonzero when any verdict\n\
      fails. --io-faults sets the plan template (its seed is the sweep\n\
      base; --seeds counts schedules from there)."
@@ -637,11 +678,54 @@ pub fn cli(args: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
+    /// The warm reload on hand-made survivors: an intact snapshot
+    /// loads, one that differs from the fresh preparation is reported
+    /// rather than counted as warm, and a torn one is quarantined.
+    fn reload_classifies_intact_foreign_and_torn_snapshots() {
+        let dir = std::env::temp_dir()
+            .join(format!("colt-torture-reload-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = colt_workloads::spec::benchmark("Povray").unwrap();
+        let scenario = Scenario::default_linux().with_seed(0x5AFE_CAFE);
+        let workload = scenario.prepare(&spec).unwrap();
+        let key = snapshot_cache::prep_key(&scenario, &spec);
+        // Fresh bodies are given, not prepared again: one preparation
+        // keeps the debug-build test cheap.
+        let fresh_with = |body: Vec<u8>| FreshPrep {
+            body: OnceCell::from(Ok(body)),
+            ..FreshPrep::new(scenario.clone(), spec.clone())
+        };
+        let fresh = [fresh_with(snapshot_cache::snapshot_body(&key, &workload))];
+        let path = snapshot_cache::snapshot_path(&dir, &key);
+
+        snapshot_cache::store_to(&dir, &key, &workload).unwrap();
+        let mut out = CycleOutcome::default();
+        reload_snapshots(&dir, &fresh, &mut out);
+        assert_eq!((out.snapshots_survived, out.warm_loaded), (1, 1));
+
+        let mut out = CycleOutcome::default();
+        reload_snapshots(&dir, &[fresh_with(Vec::new())], &mut out);
+        assert_eq!(out.warm_loaded, 0);
+        assert_eq!(out.warm_bad.len(), 1, "{:?}", out.warm_bad);
+
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let mut out = CycleOutcome::default();
+        reload_snapshots(&dir, &fresh, &mut out);
+        assert_eq!((out.warm_loaded, out.warm_quarantined), (0, 1));
+        assert!(!path.exists(), "the torn snapshot is moved aside");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// One tiny cycle end to end. Serialized with every other test that
-    /// touches the process-global seam or ledger.
+    /// touches the process-global seam or ledger. The hand-made reload
+    /// cases run under the same guard: a second guarded test would
+    /// hold a test thread idle for the whole cycle.
     #[test]
     fn one_cycle_torture_passes_all_verdicts() {
         let _guard = crate::io_faults::ledger_test_guard();
+        reload_classifies_intact_foreign_and_torn_snapshots();
         let cfg = TortureConfig {
             seeds: 1,
             cuts: 1,

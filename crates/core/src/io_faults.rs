@@ -1,12 +1,12 @@
 //! Seeded storage fault injection: the decision plan and the global
 //! fault ledger.
 //!
-//! This is the storage leg of the chaos program (memory pressure in
-//! `colt_os_mem::faults`, network faults in `serve::chaos`): an
-//! [`IoFaultPlan`] is a one-draw-per-decision seeded stream consulted by
-//! [`crate::vfs::FaultyVfs`] at every failure-prone storage operation —
-//! writes (ENOSPC, short/torn writes), reads (EIO, bit flips), fsyncs
-//! (failed and *lying*), and renames. Every decision consumes exactly one
+//! This is the storage counterpart of the memory-pressure faults in
+//! `colt_os_mem::faults`: an [`IoFaultPlan`] is a one-draw-per-decision
+//! seeded stream consulted by [`crate::vfs::FaultyVfs`] at every
+//! failure-prone storage operation — writes (ENOSPC, short/torn
+//! writes), reads (EIO, bit flips), fsyncs (failed and *lying*), and
+//! renames. Every decision consumes exactly one
 //! base draw whether or not it fires, so a plan replays identically for a
 //! given config; fault-kind selection and flip positions use extra draws
 //! only when a decision fires, the same discipline as
@@ -193,7 +193,7 @@ pub struct IoFaultPlan {
 
 impl IoFaultPlan {
     /// A plan drawing from a stream decorrelated from the memory-pressure
-    /// and network-chaos plans built from the same seed.
+    /// plan built from the same seed.
     pub fn new(config: FaultConfig) -> Self {
         Self {
             config,
@@ -320,7 +320,7 @@ pub struct LedgerSnapshot {
     /// Errors accounted at degradation sites, per kind.
     pub accounted: IoFaultCounts,
     /// Errors accounted per owning layer (`"journal"`, `"artifact"`,
-    /// `"snapshot"`, `"serve-cache"`).
+    /// `"snapshot"`).
     pub by_layer: Vec<(String, u64)>,
     /// Flipped reads whose corruption a consumer noticed.
     pub flips_detected: u64,

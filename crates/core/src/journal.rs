@@ -91,18 +91,6 @@ pub fn fingerprint_of(canonical: &str) -> String {
     format!("{:08x}", crc32(canonical.as_bytes()))
 }
 
-/// Maps a fingerprint (any string, typically [`fingerprint_of`] output)
-/// onto one of `shards` buckets. `repro serve` shards its prepared-pool
-/// locks this way so unrelated configurations never contend. Stable
-/// across processes — it reuses the journal's CRC32, not a randomized
-/// hasher.
-pub fn fingerprint_bucket(fingerprint: &str, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    crc32(fingerprint.as_bytes()) as usize % shards
-}
-
 // ---------------------------------------------------------------------
 // Payload encoding: lossless, versioned through RECORD_VERSION.
 // ---------------------------------------------------------------------
@@ -626,7 +614,6 @@ struct Inner {
     appended: u64,
     append_retries: u64,
     append_failures: u64,
-    seen: HashSet<String>,
 }
 
 /// Append-only, fsync-per-record journal for one experiment's sweep.
@@ -636,6 +623,8 @@ pub struct Journal {
     replayed: HashMap<String, Replayed>,
     report: OpenReport,
     crash_after: Option<u64>,
+    /// Every cell label submitted against this journal in this run.
+    claimed: Mutex<HashSet<String>>,
     inner: Mutex<Inner>,
 }
 
@@ -835,13 +824,13 @@ impl Journal {
             replayed,
             report,
             crash_after: parse_crash_after(),
+            claimed: Mutex::new(HashSet::new()),
             inner: Mutex::new(Inner {
                 file,
                 seq: kept_lines.len() as u64,
                 appended: 0,
                 append_retries: 0,
                 append_failures: 0,
-                seen: HashSet::new(),
             }),
         })
     }
@@ -869,6 +858,27 @@ impl Journal {
         (inner.append_retries, inner.append_failures)
     }
 
+    /// Claims the labels of one sweep about to run against this
+    /// journal. Resume keys on labels, so within one run a label may
+    /// name exactly one cell: the first label repeated inside `labels`,
+    /// or already claimed by an earlier sweep, is returned as the error.
+    ///
+    /// # Errors
+    /// The duplicated label.
+    pub(crate) fn claim<'a>(
+        &self,
+        labels: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(), String> {
+        let mut claimed =
+            self.claimed.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for label in labels {
+            if !claimed.insert(label.to_string()) {
+                return Err(label.to_string());
+            }
+        }
+        Ok(())
+    }
+
     /// The journaled result for `label`, if a valid matching `ok`
     /// record was replayed at open.
     pub fn completed(&self, label: &str) -> Option<&Replayed> {
@@ -892,13 +902,6 @@ impl Journal {
     ) -> std::io::Result<()> {
         let mut inner =
             self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !inner.seen.insert(label.to_string()) {
-            eprintln!(
-                "warning: journal {} saw cell label '{label}' twice in one run; \
-                 resume keys on labels, the later record wins",
-                self.path.display()
-            );
-        }
         let rec = Record {
             fp: self.fingerprint.clone(),
             seq: inner.seq,
@@ -981,24 +984,6 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn fingerprint_bucket_is_stable_and_in_range() {
-        for shards in [1, 2, 8, 13] {
-            for key in ["a1b2c3d4", "00000000", "fig18;accesses=30000"] {
-                let b = fingerprint_bucket(key, shards);
-                assert!(b < shards.max(1));
-                assert_eq!(b, fingerprint_bucket(key, shards), "deterministic");
-            }
-        }
-        assert_eq!(fingerprint_bucket("anything", 0), 0);
-        assert_eq!(fingerprint_bucket("anything", 1), 0);
-        // Distinct keys actually spread across buckets.
-        let spread: std::collections::BTreeSet<usize> = (0..32)
-            .map(|i| fingerprint_bucket(&fingerprint_of(&format!("key-{i}")), 8))
-            .collect();
-        assert!(spread.len() > 1, "32 keys must not all land in one of 8 buckets");
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //!   preparation entirely,
 //! * [`artifact`] — atomic, verified result-file writes and the
 //!   `BENCH_*.json` builders,
-//! * [`serve`] / [`serve_bench`] — the resident `repro serve`
-//!   translation/sweep server (sharded prepared-instance pools, batched
-//!   dispatch, LRU result cache, backpressure and quotas) and its load
-//!   generator, [`lru`] the bounded map they and the snapshot cache
-//!   share,
-//! * [`report`] / [`metrics`] — output formatting and comparisons.
+//! * [`lru`] — the bounded map behind the snapshot cache's memory
+//!   layer,
+//! * [`vfs`] / [`io_faults`] — the storage seam every durable byte
+//!   goes through, and its seeded fault plan and ledger,
+//! * [`report`] / [`metrics`] — output formatting and comparisons,
+//! * [`serve`] — two caller-less leaf modules left from the retired
+//!   serving leg, pending deletion.
 //!
 //! The `repro` binary regenerates any experiment:
 //! `cargo run --release -p colt-core --bin repro -- fig18`.
@@ -49,7 +50,6 @@
 //! ```
 
 pub mod artifact;
-pub mod chaos_serve;
 pub mod check;
 pub mod experiments;
 pub mod io_faults;
@@ -60,7 +60,6 @@ pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod serve;
-pub mod serve_bench;
 pub mod sim;
 pub mod snapshot_cache;
 pub mod vfs;

@@ -1,51 +1,37 @@
-//! A tiny string-keyed LRU map for the resident-process caches.
+//! A tiny string-keyed LRU map: the snapshot cache's memory layer.
 //!
-//! A one-shot `repro` invocation can afford caches that only grow — the
-//! process dies minutes later. `repro serve` cannot: the in-memory
-//! preparation cache, the per-shard prepared-instance pools, and the
-//! sweep-result cache all live for the lifetime of the server, so each
-//! is bounded by one of these maps and evicts least-recently-used
-//! entries past its capacity (evictions are counted and reported, never
-//! silent).
+//! Each prepared workload is several megabytes and a long run (`repro
+//! all`) prepares many distinct (scenario, benchmark) pairs, so the
+//! in-memory preparation cache is bounded by one of these maps and
+//! evicts least-recently-used entries past its capacity (evictions are
+//! counted and reported, never silent).
 //!
 //! The implementation is a `VecDeque` scanned linearly: capacities are
-//! tens-to-hundreds of entries whose values are multi-megabyte
-//! `Arc<PreparedWorkload>`s or whole result artifacts, so the O(n) scan
-//! is noise next to what the entries themselves cost to make. `const`
-//! constructors keep it usable in `static Mutex<LruMap<_>>` cells.
+//! tens of entries whose values are multi-megabyte
+//! `Arc<PreparedWorkload>`s, so the O(n) scan is noise next to what the
+//! entries themselves cost to make. The `const` constructor keeps it
+//! usable in a `static Mutex<LruMap<_>>` cell.
 
 use std::collections::VecDeque;
 
 /// String-keyed LRU map. Front of the deque is least-recently-used,
 /// back is most-recently-used.
 pub struct LruMap<V> {
-    cap: Option<usize>,
+    cap: usize,
     entries: VecDeque<(String, V)>,
 }
 
 impl<V> LruMap<V> {
-    /// An unbounded map (capacity resolved later via [`set_cap`]).
-    ///
-    /// [`set_cap`]: LruMap::set_cap
-    pub const fn unbounded() -> Self {
-        LruMap { cap: None, entries: VecDeque::new() }
-    }
-
     /// A map that holds at most `cap` entries.
     pub const fn bounded(cap: usize) -> Self {
-        LruMap { cap: Some(cap), entries: VecDeque::new() }
+        LruMap { cap, entries: VecDeque::new() }
     }
 
-    /// Sets (or clears) the capacity, evicting LRU-first down to the new
-    /// bound. Returns how many entries were evicted.
-    pub fn set_cap(&mut self, cap: Option<usize>) -> u64 {
+    /// Sets the capacity, evicting LRU-first down to the new bound.
+    /// Returns how many entries were evicted.
+    pub fn set_cap(&mut self, cap: usize) -> u64 {
         self.cap = cap;
         self.trim()
-    }
-
-    /// The current capacity (`None` = unbounded).
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
     }
 
     /// Entries currently held.
@@ -88,16 +74,9 @@ impl<V> LruMap<V> {
         self.entries.clear();
     }
 
-    /// Iterates entries from least- to most-recently-used without
-    /// touching the recency order (for persistence at graceful drain).
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-
     fn trim(&mut self) -> u64 {
-        let Some(cap) = self.cap else { return 0 };
         let mut evicted = 0;
-        while self.entries.len() > cap {
+        while self.entries.len() > self.cap {
             self.entries.pop_front();
             evicted += 1;
         }
@@ -111,7 +90,7 @@ mod tests {
 
     #[test]
     fn insert_get_and_peek_round_trip() {
-        let mut m: LruMap<u32> = LruMap::unbounded();
+        let mut m: LruMap<u32> = LruMap::bounded(8);
         assert!(m.is_empty());
         assert_eq!(m.insert("a".into(), 1), 0);
         assert_eq!(m.insert("b".into(), 2), 0);
@@ -151,13 +130,13 @@ mod tests {
 
     #[test]
     fn shrinking_the_capacity_trims_and_counts() {
-        let mut m: LruMap<u32> = LruMap::unbounded();
+        let mut m: LruMap<u32> = LruMap::bounded(8);
         for i in 0..5 {
             m.insert(format!("k{i}"), i);
         }
-        assert_eq!(m.set_cap(Some(2)), 3);
+        assert_eq!(m.set_cap(2), 3);
         assert_eq!(m.len(), 2);
         assert!(m.peek("k3").is_some() && m.peek("k4").is_some());
-        assert_eq!(m.set_cap(None), 0);
+        assert_eq!(m.set_cap(8), 0);
     }
 }

@@ -110,7 +110,6 @@ impl SweepCell<SimResult> {
 pub struct SweepTask<R> {
     label: String,
     refs: u64,
-    expires_at: Option<Instant>,
     job: Arc<dyn Fn() -> R + Send + Sync>,
 }
 
@@ -121,23 +120,9 @@ impl<R> SweepTask<R> {
         refs: u64,
         job: impl Fn() -> R + Send + Sync + 'static,
     ) -> Self {
-        Self { label: label.into(), refs, expires_at: None, job: Arc::new(job) }
-    }
-
-    /// Attaches a dispatch deadline: if the engine picks the task up
-    /// after `at`, it fails with [`EXPIRED_IN_QUEUE`] *without running*
-    /// — under overload, work whose requester already deadlined out
-    /// must not burn a worker slot. Final (never retried).
-    pub fn with_expiry(mut self, at: Instant) -> Self {
-        self.expires_at = Some(at);
-        self
+        Self { label: label.into(), refs, job: Arc::new(job) }
     }
 }
-
-/// Failure payload of a task whose [`SweepTask::with_expiry`] deadline
-/// passed while it waited for a worker. Callers (the serve dispatcher)
-/// match on this to answer `deadline_exceeded` instead of `error`.
-pub const EXPIRED_IN_QUEUE: &str = "deadline exceeded before dispatch";
 
 /// What became of one sweep cell: its result, or a description of why
 /// it died while the rest of the sweep carried on.
@@ -422,12 +407,6 @@ struct EngineOpts<'a, R> {
     retries: u32,
     hard: f64,
     hook: Option<Hook<'a, R>>,
-    /// Whether finished cells push their [`CellMetric`]s into the
-    /// process-global registry. Sweeps do (the BENCH reports drain it);
-    /// service dispatches must not — a resident server batching forever
-    /// would grow the registry without bound, and nothing drains it on
-    /// that path.
-    collect_metrics: bool,
 }
 
 impl<'a, R: JournalPayload> EngineOpts<'a, R> {
@@ -441,7 +420,6 @@ impl<'a, R: JournalPayload> EngineOpts<'a, R> {
                 encode: encode_of::<R>,
                 decode: decode_of::<R>,
             }),
-            collect_metrics: true,
         }
     }
 }
@@ -453,12 +431,7 @@ impl<R> EngineOpts<'_, R> {
             retries: 0,
             hard: cell_hard_deadline(),
             hook: None,
-            collect_metrics: true,
         }
-    }
-
-    fn service(jobs: usize) -> Self {
-        EngineOpts { collect_metrics: false, ..Self::plain(jobs) }
     }
 }
 
@@ -481,7 +454,6 @@ struct Item<R> {
     benchmark: String,
     scenario_name: String,
     refs: u64,
-    expires_at: Option<Instant>,
     work: Work<R>,
 }
 
@@ -722,6 +694,18 @@ fn engine<R: Send + 'static>(
     let mut slots: Vec<Option<(CellOutcome<R>, CellMetric)>> =
         (0..n).map(|_| None).collect();
 
+    // Resume keys on labels: two cells sharing one would replay each
+    // other's results, so a journaled sweep refuses them outright.
+    if let Some(hook) = &opts.hook {
+        if let Err(label) = hook.journal.claim(items.iter().map(|i| i.label.as_str())) {
+            panic!(
+                "journal {}: cell label '{label}' submitted twice in one run; every \
+                 journaled cell needs a label of its own",
+                hook.journal.path().display()
+            );
+        }
+    }
+
     // Replay pass: cells the journal already holds never re-run.
     let mut pending: VecDeque<Item<R>> = VecDeque::new();
     for item in items {
@@ -808,21 +792,6 @@ fn engine<R: Send + 'static>(
                         prep_seconds: 0.0,
                         sim_seconds: 0.0,
                     };
-                    // A task whose requester's deadline already passed
-                    // is dead on arrival: fail it finally (no retries —
-                    // an expired task stays expired) without spending a
-                    // worker slot on work nobody is waiting for.
-                    if item.expires_at.is_some_and(|at| Instant::now() >= at) {
-                        let outcome = CellOutcome::Failed {
-                            label: item.label.clone(),
-                            payload: EXPIRED_IN_QUEUE.to_string(),
-                        };
-                        journal_outcome(&opts.hook, &item, &outcome, &metric);
-                        *relock(completed) += 1;
-                        idle_cv.notify_all();
-                        let _ = tx.send((item.idx, outcome, metric));
-                        continue;
-                    }
                     // One attempt: obtain the shared preparation (cells
                     // only) without blocking this worker, then run the
                     // job under the watchdog.
@@ -870,18 +839,11 @@ fn engine<R: Send + 'static>(
         slots[idx] = Some((outcome, metric));
     }
     let mut results = Vec::with_capacity(n);
-    if opts.collect_metrics {
-        let mut metrics = relock(&METRICS);
-        for slot in slots {
-            let (outcome, metric) = slot.expect("every cell reports exactly once");
-            results.push(outcome);
-            metrics.push(metric);
-        }
-    } else {
-        for slot in slots {
-            let (outcome, _) = slot.expect("every cell reports exactly once");
-            results.push(outcome);
-        }
+    let mut metrics = relock(&METRICS);
+    for slot in slots {
+        let (outcome, metric) = slot.expect("every cell reports exactly once");
+        results.push(outcome);
+        metrics.push(metric);
     }
     results
 }
@@ -897,7 +859,6 @@ fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
             benchmark: cell.spec.name.to_string(),
             scenario_name: cell.scenario.name.clone(),
             refs: cell.refs,
-            expires_at: None,
             work: Work::Cell {
                 scenario: cell.scenario,
                 spec: cell.spec,
@@ -918,7 +879,6 @@ fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
             benchmark: String::new(),
             scenario_name: String::new(),
             refs: task.refs,
-            expires_at: task.expires_at,
             work: Work::Task { job: task.job },
         })
         .collect()
@@ -982,19 +942,6 @@ pub fn run_tasks<R: Send + 'static>(tasks: Vec<SweepTask<R>>, jobs: usize) -> Ve
     expect_all(run_tasks_outcomes(tasks, jobs))
 }
 
-/// [`run_tasks_outcomes`] for resident services (`repro serve`): same
-/// work-stealing dispatch, panic isolation, and submission-order
-/// results, but finished cells do *not* accumulate in the global
-/// metrics registry — a server dispatching batches forever would grow
-/// it without bound, and only sweep entry points have a matching
-/// [`take_metrics`] drain.
-pub fn run_tasks_service<R: Send + 'static>(
-    tasks: Vec<SweepTask<R>>,
-    jobs: usize,
-) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), EngineOpts::service(jobs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,67 +959,6 @@ mod tests {
 
     fn drain_lock() -> std::sync::MutexGuard<'static, ()> {
         DRAIN.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn service_entry_point_records_no_global_metrics() {
-        let _g = drain_lock();
-        let _ = take_metrics();
-        let tasks: Vec<SweepTask<u32>> = (0..6)
-            .map(|i| SweepTask::new(format!("svc-{i}"), 0, move || i * 2))
-            .collect();
-        let out = run_tasks_service(tasks, 3);
-        assert_eq!(out.len(), 6);
-        for (i, o) in out.into_iter().enumerate() {
-            assert_eq!(o.ok(), Some(i as u32 * 2));
-        }
-        assert!(
-            take_metrics().is_empty(),
-            "service dispatch must not leak into the sweep metrics registry"
-        );
-        // The sweep path still records (BENCH reports depend on it).
-        let plain: Vec<SweepTask<u32>> =
-            vec![SweepTask::new("plain".to_string(), 0, || 7)];
-        let _ = run_tasks(plain, 1);
-        assert_eq!(take_metrics().len(), 1);
-    }
-
-    #[test]
-    fn expired_tasks_fail_without_running_and_fresh_ones_still_run() {
-        let _g = drain_lock();
-        let _ = take_metrics();
-        let ran = Arc::new(AtomicU32::new(0));
-        let past = Instant::now() - Duration::from_millis(1);
-        let future = Instant::now() + Duration::from_secs(60);
-        let mk = |label: &str, at: Instant, ran: &Arc<AtomicU32>| {
-            let ran = Arc::clone(ran);
-            SweepTask::new(label.to_string(), 0, move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-                1u32
-            })
-            .with_expiry(at)
-        };
-        let tasks = vec![
-            mk("expired", past, &ran),
-            mk("fresh", future, &ran),
-            SweepTask::new("no-deadline".to_string(), 0, {
-                let ran = Arc::clone(&ran);
-                move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    2u32
-                }
-            }),
-        ];
-        let out = run_tasks_service(tasks, 2);
-        match &out[0] {
-            CellOutcome::Failed { payload, .. } => {
-                assert_eq!(payload, EXPIRED_IN_QUEUE, "expired task fails with the marker")
-            }
-            other => panic!("expired task must fail, got {other:?}"),
-        }
-        assert!(matches!(out[1], CellOutcome::Ok(1)));
-        assert!(matches!(out[2], CellOutcome::Ok(2)));
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "the expired job never ran");
     }
 
     #[test]
@@ -1412,6 +1298,36 @@ mod tests {
         assert_eq!(second, first);
         assert_eq!(runs.load(Ordering::SeqCst), 4, "no cell re-ran");
         assert_eq!(journal.appended(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journaled_sweep_refuses_a_label_already_submitted_in_the_run() {
+        let _g = drain_lock();
+        let dir = std::env::temp_dir()
+            .join(format!("colt-runner-duplabel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::open(&dir, "dup", "cafe0002".to_string(), false).unwrap();
+        let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(1) };
+        let task = |label: &str| SweepTask::new(label.to_string(), 0, || 1u64);
+
+        // Twice inside one sweep: refused before anything runs.
+        let within = catch_unwind(AssertUnwindSafe(|| {
+            run_tasks_sweep(vec![task("dup/a"), task("dup/a")], &opts)
+        }));
+        let msg = panic_message(within.expect_err("duplicate label must be refused"));
+        assert!(msg.contains("'dup/a' submitted twice"), "{msg}");
+        assert_eq!(journal.appended(), 0, "nothing ran");
+
+        // Across two sweeps of one run: the second sweep is refused.
+        let first = expect_all(run_tasks_sweep(vec![task("dup/b")], &opts));
+        assert_eq!(first, vec![1]);
+        let again =
+            catch_unwind(AssertUnwindSafe(|| run_tasks_sweep(vec![task("dup/b")], &opts)));
+        assert!(again.is_err(), "a label reused by a later sweep must be refused");
+        assert_eq!(journal.appended(), 1);
+        let _ = take_metrics();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

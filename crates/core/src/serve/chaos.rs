@@ -1,35 +1,25 @@
-//! Deterministic network-fault injection for `repro serve`.
+//! Deterministic network-fault plan of the retired `repro serve` leg.
 //!
 //! The serving counterpart of `colt_os_mem::faults`: a [`ChaosPlan`] is
-//! a seeded stream of injection decisions the server consults at its
+//! a seeded stream of injection decisions the server consulted at its
 //! network-failure-prone choice points — every response write and every
 //! accepted connection. Each decision point consumes exactly one draw
 //! whether or not a fault fires (the `faults.rs` one-draw-per-decision
 //! style), so a plan replays the same decision *sequence* for a given
-//! [`ChaosConfig`]; which connection observes which decision depends on
-//! thread interleaving, but the per-kind fault budget over N decisions
-//! is plan-driven and every injection is counted, never silent.
+//! [`ChaosConfig`], and every injection is counted, never silent.
 //!
-//! Faults model what a hostile network does to a resident service:
-//!
-//! * **torn frame** — the response line is cut mid-JSON and the socket
-//!   closed; the client's parser sees garbage, then EOF.
-//! * **reset** — the socket closes before any response byte.
-//! * **stall** — the response is delayed by a plan-drawn pause (a slow
-//!   or congested peer; latency, not an error).
-//! * **accept hiccup** — the connection is accepted and immediately
-//!   dropped (listen-queue overflow / early RST).
-//!
-//! The plan decides *what breaks*; `serve_bench`'s retry + circuit-
-//! breaker client and `repro chaos-serve`'s accounting decide whether
-//! the service actually *recovered*. See DESIGN.md §15.
+//! Fault kinds: **torn frame** (the response line cut mid-JSON, then
+//! the socket closed), **reset** (closed before any response byte),
+//! **stall** (a plan-drawn pause; latency, not an error) and **accept
+//! hiccup** (accepted and immediately dropped). The plan has no callers
+//! left (see [`crate::serve`]).
 
 use colt_prng::rngs::SmallRng;
 use colt_prng::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Parameters of a chaos plan, parsed from
-/// `rate=R,window=W,seed=S` on the `repro chaos-serve` command line.
+/// Parameters of a chaos plan, parsed from a `rate=R,window=W,seed=S`
+/// spec.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ChaosConfig {
     /// Probability in `[0, 1]` that an armed decision point injects a
@@ -104,11 +94,10 @@ pub enum ResponseFault {
     Stall(Duration),
 }
 
-/// Per-kind injection totals, drained into the server's stats line and
-/// `results/BENCH_chaos.json`. Every injected fault lands in exactly
+/// Per-kind injection totals. Every injected fault lands in exactly
 /// one bucket, so `torn_frames + resets + stalls + accept_hiccups`
 /// always equals [`ChaosPlan::injected`] — the "all faults accounted
-/// for" invariant `repro chaos-serve` gates on.
+/// for" invariant.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct ChaosCounts {
     /// Responses cut mid-frame.
@@ -172,7 +161,7 @@ impl ChaosPlan {
     /// fault fires (armed window AND rate hit).
     fn fire(&mut self) -> bool {
         let armed = self.config.window == 0
-            || (self.decisions / self.config.window) % 2 == 0;
+            || (self.decisions / self.config.window).is_multiple_of(2);
         self.decisions += 1;
         let hit = self.rng.gen_bool(self.config.rate.clamp(0.0, 1.0));
         armed && hit

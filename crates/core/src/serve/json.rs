@@ -1,13 +1,12 @@
-//! A minimal JSON reader for the serve protocol.
+//! A minimal JSON tree reader, written for the retired serve protocol.
 //!
-//! The workspace is offline and std-only, so requests are parsed here
-//! rather than by a crates.io dependency. [`crate::artifact`] already
-//! owns a *validator* (is this well-formed?); the server additionally
-//! needs the *values* — hence this small tree parser. It accepts
-//! exactly standard JSON (objects, arrays, strings with escapes
-//! including `\uXXXX`, numbers, booleans, null), bounds nesting depth,
-//! and reports errors with byte offsets so a client can debug its own
-//! request line.
+//! The workspace is offline and std-only, so request lines were parsed
+//! here rather than by a crates.io dependency. [`crate::artifact`] owns
+//! a *validator* (is this well-formed?); this reader returns the
+//! *values*. It accepts exactly standard JSON (objects, arrays, strings
+//! with escapes including `\uXXXX`, numbers, booleans, null), bounds
+//! nesting depth, and reports errors with byte offsets. It has no
+//! callers left (see [`crate::serve`]).
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -375,8 +374,8 @@ mod tests {
 
     #[test]
     fn round_trips_artifact_escaping() {
-        // The server escapes sweep CSV bytes with artifact::json_escape;
-        // clients (and serve-bench) must get the original back.
+        // Bytes escaped with artifact::json_escape must read back as the
+        // original.
         let original = "name,value\n\"quoted, cell\",1\nunicode: \u{3bb}\ttab\n";
         let line = format!("{{\"bytes\": \"{}\"}}", crate::artifact::json_escape(original));
         let v = parse(&line).unwrap();

@@ -8,11 +8,10 @@
 //! snapshots, to future invocations:
 //!
 //! 1. **Memory layer** — one `Arc<PreparedWorkload>` per preparation
-//!    key, shared by every sweep the process runs. The map is a
-//!    capacity-bounded LRU (`COLT_SNAPSHOT_MEM_CAP`, default
-//!    64 entries): one-shot invocations never come near the bound, but
-//!    a resident `repro serve` process cycling through configurations
-//!    would otherwise grow it forever. Evictions are counted in
+//!    key, shared by every sweep the process runs. The map is an LRU
+//!    bounded at [`DEFAULT_MEM_CAP`] entries, so a long run that
+//!    prepares many distinct pairs keeps a bounded working set of
+//!    multi-megabyte workloads. Evictions are counted in
 //!    [`CacheStats::mem_evictions`], never silent.
 //! 2. **Disk layer** — `results/snapshots/<fingerprint>.snap` (override
 //!    with `COLT_SNAPSHOT_DIR`), written atomically after each fresh
@@ -51,15 +50,15 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// File magic: identifies a CoLT preparation snapshot.
 const MAGIC: &[u8; 8] = b"COLTSNAP";
 
-/// Default in-memory cache bound: a few dozen multi-megabyte prepared
+/// In-memory cache bound: a few dozen multi-megabyte prepared
 /// workloads — comfortably more than any one experiment's working set,
-/// small enough that a resident server cannot OOM on stale pairs.
+/// small enough that a whole `repro all` run keeps its memory bounded.
 pub const DEFAULT_MEM_CAP: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static DISK: AtomicBool = AtomicBool::new(false);
-static MEM: Mutex<LruMap<Arc<PreparedWorkload>>> = Mutex::new(LruMap::unbounded());
-static MEM_CAP_RESOLVED: Once = Once::new();
+static MEM: Mutex<LruMap<Arc<PreparedWorkload>>> =
+    Mutex::new(LruMap::bounded(DEFAULT_MEM_CAP));
 static STATS: Mutex<CacheStats> = Mutex::new(CacheStats::zero());
 /// Snapshot directories whose disk layer failed a store and is disabled
 /// for the rest of the process (one loud warning per directory).
@@ -104,7 +103,7 @@ pub struct CacheStats {
     /// Preparations actually built with `Scenario::prepare`.
     pub misses: u64,
     /// Prepared workloads evicted from the in-memory LRU layer
-    /// (capacity `COLT_SNAPSHOT_MEM_CAP`). An evicted pair re-prepares
+    /// (capacity [`DEFAULT_MEM_CAP`]). An evicted pair re-prepares
     /// (or re-decodes its disk snapshot) on the next request.
     pub mem_evictions: u64,
     /// Wall-clock seconds spent encoding, writing, reading and decoding
@@ -144,69 +143,11 @@ pub fn take_stats() -> CacheStats {
     std::mem::take(&mut *relock(&STATS))
 }
 
-/// Resolves the memory layer's LRU capacity once per process:
-/// `COLT_SNAPSHOT_MEM_CAP` when set (garbage earns a loud warning and
-/// the default; 0 would make every preparation a miss and is clamped to
-/// 1, loudly), otherwise [`DEFAULT_MEM_CAP`].
-fn resolve_mem_cap() {
-    MEM_CAP_RESOLVED.call_once(|| {
-        let cap = match std::env::var("COLT_SNAPSHOT_MEM_CAP") {
-            Err(std::env::VarError::NotPresent) => DEFAULT_MEM_CAP,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                eprintln!(
-                    "warning: COLT_SNAPSHOT_MEM_CAP is not valid UTF-8; using \
-                     the default of {DEFAULT_MEM_CAP} entries"
-                );
-                DEFAULT_MEM_CAP
-            }
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(0) => {
-                    eprintln!(
-                        "warning: COLT_SNAPSHOT_MEM_CAP=0 would evict every \
-                         preparation immediately; clamping to 1"
-                    );
-                    1
-                }
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!(
-                        "warning: COLT_SNAPSHOT_MEM_CAP={raw:?} is not a \
-                         number; using the default of {DEFAULT_MEM_CAP} entries"
-                    );
-                    DEFAULT_MEM_CAP
-                }
-            },
-        };
-        let evicted = relock(&MEM).set_cap(Some(cap));
-        if evicted > 0 {
-            bump(|s| s.mem_evictions += evicted);
-        }
-    });
-}
-
-/// Overrides the memory layer's LRU capacity (normally decided once by
-/// `COLT_SNAPSHOT_MEM_CAP` / [`DEFAULT_MEM_CAP`]). Entries past the new
-/// bound are evicted immediately and counted. Capacity 0 is clamped to 1.
-pub fn set_mem_capacity(cap: usize) {
-    // Claim the one-shot resolution so a later `resolve_mem_cap` cannot
-    // overwrite an explicit choice with the env default.
-    MEM_CAP_RESOLVED.call_once(|| {});
-    let evicted = relock(&MEM).set_cap(Some(cap.max(1)));
-    if evicted > 0 {
-        bump(|s| s.mem_evictions += evicted);
-    }
-}
-
 /// Drops every in-memory prepared workload; disk snapshots are
 /// untouched. Lets tests observe cold-start and disk-warm behavior in
 /// one process.
 pub fn clear_memory() {
     relock(&MEM).clear();
-}
-
-/// Prepared workloads currently resident in the memory layer.
-pub fn mem_len() -> usize {
-    relock(&MEM).len()
 }
 
 fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -262,7 +203,6 @@ pub fn get_or_prepare(
 ) -> Result<Prepared, String> {
     let key = prep_key(scenario, spec);
     if enabled() {
-        resolve_mem_cap();
         if let Some(w) = relock(&MEM).get(&key).map(Arc::clone) {
             bump(|s| s.mem_hits += 1);
             return Ok(Prepared { workload: w, prep_seconds: 0.0, source: PrepSource::Memory });
@@ -429,21 +369,29 @@ fn snapshot_dir() -> Option<PathBuf> {
     }
 }
 
-fn snapshot_path(dir: &Path, key: &str) -> PathBuf {
+pub(crate) fn snapshot_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{}.snap", fingerprint_of(key)))
 }
 
+/// The checksummed body of a snapshot file: the preparation key, then
+/// the workload's bit-exact encoding. Two preparations under one key
+/// are interchangeable exactly when their bodies are equal.
+pub(crate) fn snapshot_body(key: &str, workload: &PreparedWorkload) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.str(key);
+    workload.encode_snapshot(&mut enc);
+    enc.finish()
+}
+
 /// Serializes and atomically writes one preparation snapshot, fsynced
-/// so a later crash cannot leave a torn file behind the rename.
+/// so a later crash cannot leave a torn file behind the rename, then
+/// fsyncs the directory so the rename itself survives a power cut.
 pub(crate) fn store_to(
     dir: &Path,
     key: &str,
     workload: &PreparedWorkload,
 ) -> std::io::Result<()> {
-    let mut enc = Enc::new();
-    enc.str(key);
-    workload.encode_snapshot(&mut enc);
-    let body = enc.finish();
+    let body = snapshot_body(key, workload);
     let path = snapshot_path(dir, key);
     let tmp = crate::artifact::unique_tmp(&path);
     let fs = crate::vfs::active();
@@ -461,6 +409,10 @@ pub(crate) fn store_to(
         if let Err(re) = fs.remove_file(&tmp) {
             let _ = crate::io_faults::account("snapshot", &re);
         }
+    } else if let Err(e) = fs.sync_dir(dir) {
+        // Ignored — a snapshot is a cache, so a rename a power cut
+        // undoes only costs a re-preparation — but accounted.
+        let _ = crate::io_faults::account("snapshot", &e);
     }
     written
 }

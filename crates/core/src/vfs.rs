@@ -1,7 +1,6 @@
 //! The storage seam: a small virtual-filesystem trait the durable
-//! writers (`journal`, `artifact`, `snapshot_cache`, the serve
-//! `--cache-dir`) route every create/write/fsync/rename/read/dir-fsync
-//! through.
+//! writers (`journal`, `artifact`, `snapshot_cache`) route every
+//! create/write/fsync/rename/read/dir-fsync through.
 //!
 //! In production the seam is [`RealVfs`], a zero-cost pass-through to
 //! `std::fs`. Under `repro --io-faults` or `repro torture` a

@@ -3,10 +3,8 @@
 # quick 4-core SMP smoke run, a fault-injection pressure smoke (sweep
 # plus oracle fuzz under a seeded fault plan), a crash-recovery smoke
 # (kill a sweep mid-run, --resume, diff against an uninterrupted
-# reference), a snapshot-cache cold/warm smoke, a serve smoke (resident
-# server + load generator, with a served-vs-direct byte-identity check),
-# a chaos smoke (the seeded network-fault soak; every verdict in
-# BENCH_chaos.json must hold),
+# reference), a multi-sweep resume smoke (ablation and fig16-17 fresh,
+# then --resume, byte-diffed), a snapshot-cache cold/warm smoke,
 # a storage-torture smoke (seeded I/O fault schedules x simulated
 # power cuts over the durability layers; every verdict in
 # BENCH_torture.json must hold and no tmp litter may survive),
@@ -111,10 +109,9 @@ echo "== fault-injection oracle fuzz: repro pressure --check =="
 CRASH_DIR=$(mktemp -d)
 IOCRASH_DIR=$(mktemp -d)
 CACHE_DIR=$(mktemp -d)
-SERVE_DIR=$(mktemp -d)
 POLICY_DIR=$(mktemp -d)
-CHAOS_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR"' EXIT
+RESUME_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$POLICY_DIR" "$RESUME_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
 
 # MM-policy smoke: a small policy-sweep grid (every shipped policy x
@@ -225,6 +222,30 @@ if find "$IOCRASH_DIR/results" -name '*.tmp-*' | grep -q .; then
 fi
 echo "storage-fault crash smoke passed (resume byte-identical under injected ENOSPC + torn renames)"
 
+# Multi-sweep resume smoke: ablation and fig16-17 run several sweeps
+# into one journal, so their cell labels must stay unique across
+# sweeps or --resume replays one cell's result into another. Each runs
+# fresh, then again with --resume: the resumed CSV must be
+# byte-identical, and every cell must come from the journal (the
+# resume appends no record).
+for exp in ablation fig16-17; do
+    RESUME_ARGS=(--quick --bench Gobmk,Bzip2 --jobs "$(nproc)" "$exp" --csv)
+    echo "== resume smoke: repro ${RESUME_ARGS[*]}, then --resume =="
+    (cd "$RESUME_DIR" && "$REPRO" "${RESUME_ARGS[@]}" > "$exp.fresh.csv")
+    journaled=$(wc -l < "$RESUME_DIR/results/journal/$exp.jsonl")
+    (cd "$RESUME_DIR" && "$REPRO" "${RESUME_ARGS[@]}" --resume > "$exp.resumed.csv")
+    if ! cmp -s "$RESUME_DIR/$exp.fresh.csv" "$RESUME_DIR/$exp.resumed.csv"; then
+        echo "FAIL: resumed $exp CSV differs from the fresh run" >&2
+        diff "$RESUME_DIR/$exp.fresh.csv" "$RESUME_DIR/$exp.resumed.csv" >&2 || true
+        exit 1
+    fi
+    if [[ "$(wc -l < "$RESUME_DIR/results/journal/$exp.jsonl")" -ne "$journaled" ]]; then
+        echo "FAIL: --resume of $exp re-ran cells instead of replaying them" >&2
+        exit 1
+    fi
+done
+echo "resume smoke passed (ablation and fig16-17 byte-identical after --resume)"
+
 # Snapshot-cache smoke: the same sweep twice in a scratch directory —
 # cold (every pair prepares and persists a snapshot under
 # results/snapshots/), then warm in a fresh process (every pair decodes
@@ -259,86 +280,6 @@ if ! awk -v w="$warm_prep" -v c="$cold_prep" 'BEGIN { exit !(w < 0.25 * c) }'; t
     exit 1
 fi
 echo "snapshot-cache smoke passed (0 warm misses, prep ${cold_prep}s cold -> ${warm_prep}s warm)"
-
-# Serve smoke: a resident `repro serve` plus the serve-bench load
-# generator in a scratch directory. The bench drives mixed
-# translate/sweep traffic, requests the sweep twice (the second must be
-# an LRU result-cache hit), and byte-compares the served sweep against
-# a direct in-process run (--verify-sweep). The server must then shut
-# down cleanly with zero quarantined cells, and the published
-# BENCH_serve.json must show real throughput and a warm cache.
-echo "== serve smoke: repro serve + serve-bench =="
-REPO_RESULTS="$PWD/results"
-(cd "$SERVE_DIR" && "$REPRO" serve --port 0 --port-file serve.port \
-    > serve.log 2>&1) &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    [[ -s "$SERVE_DIR/serve.port" ]] && break
-    sleep 0.1
-done
-if [[ ! -s "$SERVE_DIR/serve.port" ]]; then
-    echo "FAIL: repro serve never wrote its port file" >&2
-    exit 1
-fi
-(cd "$SERVE_DIR" && "$REPRO" serve-bench --port-file serve.port \
-    --conns 4 --requests 100 --accesses 5000 \
-    --sweep fig18 --sweep-every 25 --sweep-accesses 20000 --bench Gobmk \
-    --verify-sweep --shutdown --quiet --out "$REPO_RESULTS/BENCH_serve.json")
-if ! wait "$SERVE_PID"; then
-    echo "FAIL: repro serve exited nonzero after shutdown" >&2
-    cat "$SERVE_DIR/serve.log" >&2
-    exit 1
-fi
-for needle in "clean shutdown" "quarantined cells: 0"; do
-    if ! grep -q "$needle" "$SERVE_DIR/serve.log"; then
-        echo "FAIL: serve log is missing '$needle'" >&2
-        cat "$SERVE_DIR/serve.log" >&2
-        exit 1
-    fi
-done
-serve_rps=$(json_field requests_per_sec "$REPO_RESULTS/BENCH_serve.json")
-if ! awk -v r="$serve_rps" 'BEGIN { exit !(r > 0) }'; then
-    echo "FAIL: BENCH_serve.json reports no throughput (requests_per_sec=$serve_rps)" >&2
-    exit 1
-fi
-serve_hit_rate=$(json_field cache_hit_rate "$REPO_RESULTS/BENCH_serve.json")
-if ! awk -v h="$serve_hit_rate" 'BEGIN { exit !(h > 0) }'; then
-    echo "FAIL: repeated identical sweeps never hit the result cache (cache_hit_rate=$serve_hit_rate)" >&2
-    exit 1
-fi
-if ! grep -q '"verified": true' "$REPO_RESULTS/BENCH_serve.json"; then
-    echo "FAIL: serve-bench did not verify served-vs-direct byte identity" >&2
-    exit 1
-fi
-echo "serve smoke passed ($serve_rps req/s, sweep cache hit rate $serve_hit_rate, clean shutdown)"
-
-# Chaos smoke: the seeded network-fault soak. An in-process server with
-# the chaos plan armed (torn frames, resets, stalls, accept hiccups)
-# serves retrying clients; the run must exit zero with every verdict
-# true in BENCH_chaos.json — zero server panics, every injected fault
-# accounted for as exactly one retried transport error, no leaked queue
-# slots or in-flight sweep leaders after the graceful drain, sweep
-# bytes under retries identical to a direct in-process run, and a
-# warm restart serving the drained cache byte-identically.
-echo "== chaos smoke: repro chaos-serve =="
-(cd "$CHAOS_DIR" && "$REPRO" chaos-serve --chaos rate=0.15,window=0,seed=7 \
-    --conns 2 --requests 10 --accesses 500 \
-    --sweep fig18 --sweep-every 4 --sweep-accesses 1000 --bench Gobmk \
-    --quiet --out "$REPO_RESULTS/BENCH_chaos.json")
-for verdict in zero_panics faults_accounted no_leaked_slots byte_identity \
-               warm_restart_identity all_ok; do
-    if ! grep -q "\"$verdict\": true" "$REPO_RESULTS/BENCH_chaos.json"; then
-        echo "FAIL: BENCH_chaos.json verdict '$verdict' did not hold" >&2
-        cat "$REPO_RESULTS/BENCH_chaos.json" >&2
-        exit 1
-    fi
-done
-chaos_faults=$(json_field faults_injected "$REPO_RESULTS/BENCH_chaos.json")
-if ! awk -v f="$chaos_faults" 'BEGIN { exit !(f > 0) }'; then
-    echo "FAIL: chaos smoke injected no faults (faults_injected=$chaos_faults)" >&2
-    exit 1
-fi
-echo "chaos smoke passed ($chaos_faults faults injected, all verdicts hold)"
 
 # Storage-torture smoke: the crash-consistency harness on a reduced
 # but still 3-seed grid with its fixed default base seed. Each cycle

@@ -2,10 +2,12 @@
 //! finished with `--resume` must produce the *byte-identical*
 //! machine-readable result of an uninterrupted run, for any `k` —
 //! including `k = 0` (nothing journaled) and `k = all` (nothing left to
-//! run) — and must re-run exactly the missing cells, no more.
+//! run) — and must re-run exactly the missing cells, no more. Drivers
+//! that run several sweeps into one journal (`ablation`, `fig16-17`)
+//! must resume to the same tables too.
 
 use colt_core::artifact;
-use colt_core::experiments::{pressure, ExperimentOptions};
+use colt_core::experiments::{pressure, run_named, ExperimentOptions};
 use colt_core::journal::Journal;
 use colt_os_mem::faults::FaultConfig;
 use std::path::{Path, PathBuf};
@@ -102,4 +104,47 @@ fn changed_flags_invalidate_the_journal_instead_of_reusing_it() {
     assert_eq!(report.fingerprint_mismatches as u64, ran);
     assert!(journal.completed("any/label").is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs experiment `name` against the journal in `dir` and returns its
+/// CSV tables plus the number of cells replayed from the journal.
+fn run_csv(dir: &Path, name: &str, resume: bool) -> (String, usize) {
+    let base = ExperimentOptions {
+        jobs: 2,
+        accesses: 4_000,
+        ..ExperimentOptions::quick().with_benchmarks(&["FastaProt"])
+    };
+    let journal = Arc::new(
+        Journal::open(dir, name, base.fingerprint(name), resume).expect("journal open"),
+    );
+    let opts = ExperimentOptions { journal: Some(Arc::clone(&journal)), ..base };
+    let run = run_named(name, &opts).expect("known experiment");
+    let csv: Vec<String> = run.output.tables.iter().map(|t| t.to_csv()).collect();
+    (csv.join("\n"), journal.open_report().replayed)
+}
+
+/// A fully journaled run resumed from its journal must replay every
+/// cell and render the same tables, byte for byte.
+fn assert_resume_is_byte_identical(name: &str) {
+    let dir = tmpdir(name);
+    let (fresh, replayed) = run_csv(&dir, name, false);
+    assert_eq!(replayed, 0, "fresh run must replay nothing");
+    let cells = std::fs::read_to_string(dir.join(format!("{name}.jsonl")))
+        .unwrap()
+        .lines()
+        .count();
+    let (resumed, replayed) = run_csv(&dir, name, true);
+    assert_eq!(replayed, cells, "resume must replay every journaled cell");
+    assert_eq!(resumed, fresh, "resumed {name} tables must be byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ablation_resume_is_byte_identical() {
+    assert_resume_is_byte_identical("ablation");
+}
+
+#[test]
+fn memhog_figures_resume_is_byte_identical() {
+    assert_resume_is_byte_identical("fig16-17");
 }
