@@ -26,7 +26,7 @@
 //! * [`vfs`] / [`io_faults`] — the storage seam every durable byte
 //!   goes through, and its seeded fault plan and ledger,
 //! * [`report`] / [`metrics`] — output formatting and comparisons,
-//! * [`serve`] — two caller-less leaf modules left from the retired
+//! * [`serve`] — one caller-less leaf module left from the retired
 //!   serving leg, pending deletion.
 //!
 //! The `repro` binary regenerates any experiment:

@@ -27,13 +27,6 @@ impl<V> LruMap<V> {
         LruMap { cap, entries: VecDeque::new() }
     }
 
-    /// Sets the capacity, evicting LRU-first down to the new bound.
-    /// Returns how many entries were evicted.
-    pub fn set_cap(&mut self, cap: usize) -> u64 {
-        self.cap = cap;
-        self.trim()
-    }
-
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -126,17 +119,5 @@ mod tests {
         m.insert("c".into(), 3);
         assert!(m.peek("b").is_none());
         assert!(m.peek("a").is_some());
-    }
-
-    #[test]
-    fn shrinking_the_capacity_trims_and_counts() {
-        let mut m: LruMap<u32> = LruMap::bounded(8);
-        for i in 0..5 {
-            m.insert(format!("k{i}"), i);
-        }
-        assert_eq!(m.set_cap(2), 3);
-        assert_eq!(m.len(), 2);
-        assert!(m.peek("k3").is_some() && m.peek("k4").is_some());
-        assert_eq!(m.set_cap(8), 0);
     }
 }

@@ -1,11 +1,9 @@
-//! The two socket-free leaf modules left from the retired `repro serve`
-//! leg: the request JSON reader ([`json`]) and the seeded network-fault
-//! plan ([`chaos`]).
+//! The socket-free leaf module left from the retired `repro serve` leg:
+//! the seeded network-fault plan ([`chaos`]).
 //!
-//! The server, its load generator and its chaos soak are gone (see
-//! CHANGELOG "Removed"); nothing in the workspace calls these modules
-//! any more. They are kept, with their unit tests, only until the next
-//! change deletes them (ROADMAP).
+//! The server, its load generator, its chaos soak and its request JSON
+//! reader are gone (see CHANGELOG "Removed"); nothing in the workspace
+//! calls this module any more. It is kept, with its unit tests, only
+//! until a later change deletes it (ROADMAP).
 
 pub mod chaos;
-pub mod json;

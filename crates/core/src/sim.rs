@@ -399,7 +399,6 @@ pub fn run_multiprogrammed(
     let mut walk_cycles = 0u64;
     let mut data_stall_cycles = 0u64;
     let mut l2_tlb_cycles = 0u64;
-    let mut measured = 0u64;
     let mut instructions = 0u64;
     let mut warmup_walker = walker.stats();
     let mut warmup_tlb = tlb.stats();
@@ -412,7 +411,6 @@ pub fn run_multiprogrammed(
             walk_cycles = 0;
             data_stall_cycles = 0;
             l2_tlb_cycles = 0;
-            measured = 0;
             instructions = 0;
         }
         if i > 0 && i % quantum == 0 {
@@ -449,9 +447,7 @@ pub fn run_multiprogrammed(
         let lat = caches.access_data(phys);
         data_stall_cycles += lat.saturating_sub(latency.l1);
         instructions += multi.parts[current].0.instructions_per_access;
-        measured += 1;
     }
-    let _ = measured;
     SimResult {
         tlb: diff_tlb(tlb.stats(), warmup_tlb),
         walker: diff_walker(walker.stats(), warmup_walker),

@@ -37,7 +37,11 @@ impl CacheStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // line numbers, MRU first
+    /// Line numbers, `ways` slots per set, set-major. Set `s` holds its
+    /// `lens[s]` resident lines in `lines[s * ways..][..lens[s]]`, MRU
+    /// first.
+    lines: Vec<u64>,
+    lens: Vec<u8>,
     ways: usize,
     stats: CacheStats,
 }
@@ -46,15 +50,18 @@ impl Cache {
     /// Creates a cache of `size_bytes` with `ways` associativity.
     ///
     /// # Panics
-    /// Panics unless the resulting set count is a positive power of two.
+    /// Panics unless the resulting set count is a positive power of two
+    /// and `ways` fits a set's `u8` live count.
     pub fn new(size_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
+        assert!(u8::try_from(ways).is_ok(), "associativity {ways} exceeds the set length type");
         let lines = size_bytes / CACHE_LINE_SIZE as usize;
         assert!(lines.is_multiple_of(ways), "size must divide into ways");
         let num_sets = lines / ways;
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            lines: vec![0; num_sets * ways],
+            lens: vec![0; num_sets],
             ways,
             stats: CacheStats::default(),
         }
@@ -62,7 +69,7 @@ impl Cache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Associativity.
@@ -76,7 +83,7 @@ impl Cache {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        (line as usize) & (self.sets.len() - 1)
+        (line as usize) & (self.lens.len() - 1)
     }
 
     /// Accesses `addr`, returning `true` on a hit. Misses allocate the
@@ -84,35 +91,41 @@ impl Cache {
     pub fn access(&mut self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
+        let len = self.lens[idx] as usize;
+        let set = &mut self.lines[idx * self.ways..][..self.ways];
+        if let Some(pos) = set[..len].iter().position(|&l| l == line) {
+            set[..=pos].rotate_right(1);
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        if set.len() == self.ways {
-            set.pop();
+        if len == self.ways {
             self.stats.evictions += 1;
+            set.copy_within(..len - 1, 1);
+        } else {
+            set.copy_within(..len, 1);
+            self.lens[idx] += 1;
         }
-        set.insert(0, line);
+        set[0] = line;
         false
     }
 
     /// Checks residency without updating LRU or counters.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
-        self.sets[self.set_index(line)].contains(&line)
+        let idx = self.set_index(line);
+        self.lines[idx * self.ways..][..self.lens[idx] as usize].contains(&line)
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
+        let len = self.lens[idx] as usize;
+        let set = &mut self.lines[idx * self.ways..][..len];
         if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
+            set.copy_within(pos + 1.., pos);
+            self.lens[idx] -= 1;
             return true;
         }
         false
@@ -120,14 +133,12 @@ impl Cache {
 
     /// Empties the cache.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 }
 

@@ -77,9 +77,7 @@ impl MmuCache {
 
     /// Tagged lookup: only `(asid, addr)` can hit.
     pub fn lookup_tagged(&mut self, addr: PhysAddr, asid: Asid) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
-            let e = self.entries.remove(pos);
-            self.entries.insert(0, e);
+        if self.promote((asid, addr.raw())) {
             self.stats.level_hits += 1;
             true
         } else {
@@ -95,15 +93,27 @@ impl MmuCache {
 
     /// Tagged insert: the entry is keyed `(asid, addr)`.
     pub fn insert_tagged(&mut self, addr: PhysAddr, asid: Asid) {
-        if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
-            let e = self.entries.remove(pos);
-            self.entries.insert(0, e);
+        let key = (asid, addr.raw());
+        if self.promote(key) {
             return;
         }
         if self.entries.len() == self.capacity {
-            self.entries.pop();
+            self.entries.rotate_right(1);
+            self.entries[0] = key;
+        } else {
+            self.entries.insert(0, key);
         }
-        self.entries.insert(0, (asid, addr.raw()));
+    }
+
+    /// Moves `key` to the MRU slot if resident; returns whether it was.
+    fn promote(&mut self, key: (Asid, u64)) -> bool {
+        match self.entries.iter().position(|&e| e == key) {
+            Some(pos) => {
+                self.entries[..=pos].rotate_right(1);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Removes one entry address if resident (the per-entry half of an
@@ -142,6 +152,11 @@ impl MmuCache {
     /// Live entry count.
     pub fn occupancy(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Iterates resident `(tag, entry address)` keys, MRU first.
+    pub fn iter(&self) -> impl Iterator<Item = (Asid, PhysAddr)> + '_ {
+        self.entries.iter().map(|&(asid, addr)| (asid, PhysAddr::new(addr)))
     }
 }
 

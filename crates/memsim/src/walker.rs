@@ -255,7 +255,8 @@ impl PageWalker {
             self.stats.faults += 1;
             return None;
         };
-        let levels = path.entry_addrs.len();
+        let entry_addrs = path.entry_addrs();
+        let levels = entry_addrs.len();
         debug_assert!(levels >= 2, "walks touch at least two levels");
 
         // Find the deepest non-leaf level whose entry the MMU cache
@@ -264,7 +265,7 @@ impl PageWalker {
         // deeper = closer to the leaf.)
         let mut start = 0usize;
         for i in (0..levels - 1).rev() {
-            if self.mmu_cache.lookup_tagged(path.entry_addrs[i], tag) {
+            if self.mmu_cache.lookup_tagged(entry_addrs[i], tag) {
                 start = i + 1;
                 break;
             }
@@ -272,7 +273,7 @@ impl PageWalker {
 
         let mut latency = 0u64;
         let mut memory_accesses = 0u64;
-        for (i, &addr) in path.entry_addrs.iter().enumerate().skip(start) {
+        for (i, &addr) in entry_addrs.iter().enumerate().skip(start) {
             if self.mode == WalkMode::Nested {
                 // Each guest page-table access is itself host-translated.
                 let (l, a) = self.charge_host_walk(addr, caches);
@@ -315,23 +316,6 @@ impl PageWalker {
         })
     }
 
-    /// Batched walk: translates every VPN of `vpns` in order, appending
-    /// one outcome per VPN to `out` (`None` for page faults). MMU-cache
-    /// state, counters, and cache-hierarchy charging are byte-identical
-    /// to the same sequence of [`PageWalker::walk`] calls.
-    pub fn translate_batch(
-        &mut self,
-        page_table: &PageTable,
-        vpns: &[Vpn],
-        caches: &mut impl PteFetch,
-        out: &mut Vec<Option<WalkOutcome>>,
-    ) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.walk(page_table, vpn, caches));
-        }
-    }
-
     /// Removes the given page-table entry addresses from the guest MMU
     /// page-walk cache — the per-VPN shootdown a kernel page-table
     /// mutation must deliver, so the next walk of the affected page
@@ -362,7 +346,7 @@ impl PageWalker {
     /// Returns how many cached levels were dropped.
     pub fn invalidate(&mut self, page_table: &PageTable, vpn: Vpn) -> usize {
         match page_table.walk(vpn) {
-            Some(path) => self.invalidate_addrs(&path.entry_addrs),
+            Some(path) => self.invalidate_addrs(path.entry_addrs()),
             None => 0,
         }
     }
@@ -551,7 +535,7 @@ mod tests {
         let o = w.walk(&pt, Vpn::new(0x1001), &mut caches).unwrap();
         assert_eq!(o.memory_accesses, 4, "full path re-fetched after shootdown");
         // A second shootdown finds nothing left to drop.
-        assert_eq!(w.invalidate_addrs(&pt.walk(Vpn::new(0x1000)).unwrap().entry_addrs), 3);
+        assert_eq!(w.invalidate_addrs(pt.walk(Vpn::new(0x1000)).unwrap().entry_addrs()), 3);
         assert_eq!(w.invalidate(&pt, Vpn::new(0x1000)), 0);
     }
 
@@ -563,34 +547,6 @@ mod tests {
         w.walk(&pt, Vpn::new(0x1000), &mut caches);
         assert_eq!(w.invalidate(&pt, Vpn::new(0x9999)), 0);
         assert_eq!(w.stats().walks, 1, "invalidation charges no walk");
-    }
-
-    #[test]
-    fn translate_batch_matches_sequential_walks() {
-        let pt = mapped_pt(16);
-        let vpns: Vec<Vpn> = [0x1000, 0x1001, 0x1008, 0x9999, 0x100f].map(Vpn::new).to_vec();
-        let mut seq = PageWalker::paper_default();
-        let mut seq_caches = CacheHierarchy::core_i7();
-        let expected: Vec<Option<WalkOutcome>> =
-            vpns.iter().map(|&v| seq.walk(&pt, v, &mut seq_caches)).collect();
-        let mut batched = PageWalker::paper_default();
-        let mut batched_caches = CacheHierarchy::core_i7();
-        let mut got = Vec::new();
-        batched.translate_batch(&pt, &vpns, &mut batched_caches, &mut got);
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            match (g, e) {
-                (None, None) => {}
-                (Some(g), Some(e)) => {
-                    assert_eq!(g.translation.pfn, e.translation.pfn);
-                    assert_eq!(g.latency, e.latency);
-                    assert_eq!(g.memory_accesses, e.memory_accesses);
-                }
-                _ => panic!("fault/translation mismatch"),
-            }
-        }
-        assert_eq!(batched.stats(), seq.stats());
-        assert_eq!(batched.mmu_stats(), seq.mmu_stats());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use colt_os_mem::addr::{Pfn, Vpn};
 use colt_os_mem::buddy::{BuddyAllocator, MAX_ORDER};
 use colt_os_mem::contiguity::ContiguityReport;
 use colt_os_mem::kernel::{CompactionMode, Kernel, KernelConfig, PopulateMode};
-use colt_os_mem::page_table::{PageTable, Pte, PteFlags};
+use colt_os_mem::page_table::{PageKind, PageTable, Pte, PteFlags};
 use colt_quickprop::prelude::*;
 use std::collections::HashMap;
 
@@ -190,6 +190,65 @@ proptest! {
                             t.pfn, prev, base.offset(i));
                     }
                 }
+            }
+        }
+    }
+
+    /// `pte_line` reads the same eight slots a per-page translation does:
+    /// slot `i` holds `translate(base + i)` when that is a base page and
+    /// `None` for holes and superpage-covered pages — over page tables
+    /// that mix base pages, superpages, split superpages and holes.
+    #[test]
+    fn pte_line_agrees_with_per_page_translation(
+        regions in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u64..80, prop::bool::ANY), 0..60)),
+            4,
+        ),
+    ) {
+        const WINDOW: u64 = 0x4000;
+        let mut pt = PageTable::new();
+        for (k, (kind, pages)) in regions.iter().enumerate() {
+            let base = WINDOW + 512 * k as u64;
+            let frames = 0x10_0000 + 1024 * k as u64;
+            let super_pte = Pte::new(Pfn::new(frames), PteFlags::user_data());
+            match kind {
+                0 => {} // a hole the size of a superpage
+                1 => pt.map_super(Vpn::new(base), super_pte),
+                2 => {
+                    for &(off, dirty) in pages {
+                        let vpn = Vpn::new(base + off);
+                        if pt.translate(vpn).is_none() {
+                            let flags = if dirty {
+                                PteFlags::user_data().with(PteFlags::DIRTY)
+                            } else {
+                                PteFlags::user_data()
+                            };
+                            let pfn = Pfn::new(frames + off * 3 % 7 + off);
+                            pt.map_base(vpn, Pte::new(pfn, flags));
+                        }
+                    }
+                }
+                _ => {
+                    // A split superpage with holes punched into it.
+                    pt.map_super(Vpn::new(base), super_pte);
+                    pt.split_superpage(Vpn::new(base));
+                    for &(off, _) in pages {
+                        pt.unmap_base(Vpn::new(base + off));
+                    }
+                }
+            }
+        }
+        let far = WINDOW + (1 << 20); // no page-table nodes below the root
+        let bases = (WINDOW..WINDOW + 512 * regions.len() as u64).step_by(8).chain([far]);
+        for base in bases {
+            let line = pt.pte_line(Vpn::new(base + (base / 8) % 8));
+            prop_assert_eq!(line.base_vpn, Vpn::new(base));
+            for (i, slot) in line.ptes.iter().enumerate() {
+                let expected = pt
+                    .translate(Vpn::new(base + i as u64))
+                    .filter(|t| t.kind == PageKind::Base)
+                    .map(|t| Pte::new(t.pfn, t.flags));
+                prop_assert_eq!(*slot, expected, "slot {} of the line at {:#x}", i, base);
             }
         }
     }

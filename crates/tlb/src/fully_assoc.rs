@@ -104,38 +104,25 @@ impl FullyAssocTlb {
     /// ASID-selective lookup (SMP tagged mode): only entries tagged
     /// `asid` can hit.
     pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
-        if let Some(pos) =
-            self.entries.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
-        {
-            let entry = self.entries.remove(pos);
-            let hit = FaHit {
-                pfn: entry.lookup(vpn).expect("position found by lookup"),
-                flags: entry.flags(),
-                entry_len: entry.run().len,
-                superpage: entry.kind() == RangeKind::Superpage,
-            };
-            self.entries.insert(0, entry);
-            self.stats.hits += 1;
-            return Some(hit);
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Batched lookup: translates every VPN of `vpns` in order,
-    /// appending one result per VPN to `out`. State transitions (LRU
-    /// promotion, hit/miss counters) are byte-identical to the same
-    /// sequence of [`FullyAssocTlb::lookup`] calls.
-    pub fn lookup_batch(&mut self, vpns: &[Vpn], out: &mut Vec<Option<FaHit>>) {
-        self.lookup_batch_tagged(vpns, Asid(0), out);
-    }
-
-    /// Tagged variant of [`FullyAssocTlb::lookup_batch`].
-    pub fn lookup_batch_tagged(&mut self, vpns: &[Vpn], asid: Asid, out: &mut Vec<Option<FaHit>>) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.lookup_tagged(vpn, asid));
-        }
+        let found = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.asid() == asid)
+            .find_map(|(pos, e)| Some((pos, e.lookup(vpn)?)));
+        let Some((pos, pfn)) = found else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.entries[..=pos].rotate_right(1);
+        let entry = self.entries[0];
+        self.stats.hits += 1;
+        Some(FaHit {
+            pfn,
+            flags: entry.flags(),
+            entry_len: entry.run().len,
+            superpage: entry.kind() == RangeKind::Superpage,
+        })
     }
 
     /// Checks for a hit without touching LRU or counters (any ASID).
@@ -152,21 +139,18 @@ impl FullyAssocTlb {
     /// evicted entry, if any.
     pub fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
         self.stats.insertions += 1;
-        let evicted = if self.entries.len() == self.capacity {
-            self.stats.evictions += 1;
-            let candidates: Vec<(usize, u64)> = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(rank, e)| (rank, e.run().len))
-                .collect();
-            let victim = self.policy.choose_victim(&candidates);
-            Some(self.entries.remove(victim))
-        } else {
-            None
-        };
-        self.entries.insert(0, entry);
-        evicted
+        if self.entries.len() < self.capacity {
+            self.entries.insert(0, entry);
+            return None;
+        }
+        let victim = self
+            .policy
+            .choose_victim(self.entries.iter().enumerate().map(|(rank, e)| (rank, e.run().len)));
+        let evicted = self.entries[victim];
+        self.entries[..=victim].rotate_right(1);
+        self.entries[0] = entry;
+        self.stats.evictions += 1;
+        Some(evicted)
     }
 
     /// Gracefully uncoalesces on invalidation: coalesced ranges covering
@@ -205,30 +189,27 @@ impl FullyAssocTlb {
                     // policy rather than silently dropping a still-valid
                     // remnant, but never victimise a remnant just
                     // re-inserted (ranks `pos..insert_at`).
-                    let candidates: Vec<(usize, u64)> = self
+                    let fresh = insert_at - pos;
+                    if self.entries.len() == fresh {
+                        continue; // capacity-1 structure already holds a remnant
+                    }
+                    let candidates = self
                         .entries
                         .iter()
                         .enumerate()
                         .filter(|(rank, _)| !(pos..insert_at).contains(rank))
-                        .map(|(rank, e)| (rank, e.run().len))
-                        .collect();
-                    if candidates.is_empty() {
-                        continue; // capacity-1 structure already holds a remnant
-                    }
-                    let victim = candidates[self.policy.choose_victim(&candidates)].0;
+                        .map(|(rank, e)| (rank, e.run().len));
+                    let chosen = self.policy.choose_victim(candidates);
+                    let victim = if chosen < pos { chosen } else { chosen + fresh };
                     self.stats.evictions += 1;
                     self.entries.remove(victim);
-                    if victim < insert_at {
+                    if victim < pos {
+                        pos -= 1;
                         insert_at -= 1;
-                        if victim < pos {
-                            pos -= 1;
-                        }
                     }
                 }
-                self.entries.insert(
-                    insert_at.min(self.entries.len()),
-                    RangeEntry::coalesced_tagged(remnant, entry.asid()),
-                );
+                let remnant = RangeEntry::coalesced_tagged(remnant, entry.asid());
+                self.entries.insert(insert_at, remnant);
                 insert_at += 1;
             }
         }
@@ -516,19 +497,5 @@ mod tests {
         tlb.probe(Vpn::new(0));
         let evicted = tlb.insert(RangeEntry::coalesced(run(200, 200, 4))).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(0), "probe must not promote");
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let vpns: Vec<Vpn> = [100, 119, 120, 303, 100, 999].map(Vpn::new).to_vec();
-        let mut seq = FullyAssocTlb::new(4);
-        seq.insert(RangeEntry::coalesced(run(100, 700, 20)));
-        seq.insert(RangeEntry::coalesced(run(300, 900, 4)));
-        let mut batched = seq.clone();
-        let expected: Vec<Option<FaHit>> = vpns.iter().map(|&v| seq.lookup(v)).collect();
-        let mut got = Vec::new();
-        batched.lookup_batch(&vpns, &mut got);
-        assert_eq!(got, expected);
-        assert_eq!(batched.stats(), seq.stats(), "counters and LRU evolve identically");
     }
 }

@@ -286,14 +286,10 @@ impl TlbHierarchy {
                         self.l1.insert_tagged(single, tag);
                     }
                     ColtMode::ColtSa => {
-                        self.stats.record_fill(
-                            run.restrict_to_group(vpn, self.l2.shift())
-                                .expect("run contains vpn")
-                                .len,
-                        );
                         let l2_run = run
                             .restrict_to_group(vpn, self.l2.shift())
                             .expect("run contains vpn");
+                        self.stats.record_fill(l2_run.len);
                         self.l2.insert_tagged(l2_run, tag);
                         let l1_run = run
                             .restrict_to_group(vpn, self.l1.shift())

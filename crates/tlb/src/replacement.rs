@@ -9,6 +9,8 @@
 //! when a victim is needed, prefer the entry covering the fewest
 //! translations (ties broken by recency), so high-reach entries survive.
 
+use std::cmp::Reverse;
+
 /// Victim-selection policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReplacementPolicy {
@@ -21,32 +23,23 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Picks the victim index from `entries`, described by
+    /// Picks the victim from `entries`, described by
     /// `(lru_rank, coalesced_len)` pairs where **higher** `lru_rank`
-    /// means staler (0 = most recently used).
+    /// means staler (0 = most recently used), and returns its position
+    /// in the sequence. Candidates are scanned in place; nothing is
+    /// collected.
     ///
     /// # Panics
-    /// Panics on an empty candidate list.
-    pub fn choose_victim(self, entries: &[(usize, u64)]) -> usize {
-        assert!(!entries.is_empty(), "victim selection needs candidates");
-        match self {
-            ReplacementPolicy::Lru => {
-                entries
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &(rank, _))| rank)
-                    .map(|(i, _)| i)
-                    .expect("non-empty")
-            }
+    /// Panics on an empty candidate sequence.
+    pub fn choose_victim(self, entries: impl IntoIterator<Item = (usize, u64)>) -> usize {
+        let entries = entries.into_iter().enumerate();
+        let victim = match self {
+            ReplacementPolicy::Lru => entries.max_by_key(|&(_, (rank, _))| rank),
             ReplacementPolicy::SmallestCoalescedFirst => {
-                entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(rank, len))| (len, usize::MAX - rank))
-                    .map(|(i, _)| i)
-                    .expect("non-empty")
+                entries.min_by_key(|&(_, (rank, len))| (len, Reverse(rank)))
             }
-        }
+        };
+        victim.map(|(i, _)| i).expect("victim selection needs candidates")
     }
 }
 
@@ -58,7 +51,7 @@ mod tests {
     fn lru_picks_stalest() {
         // (lru_rank, len): index 2 is stalest.
         let entries = [(0, 8), (1, 1), (3, 4), (2, 2)];
-        assert_eq!(ReplacementPolicy::Lru.choose_victim(&entries), 2);
+        assert_eq!(ReplacementPolicy::Lru.choose_victim(entries), 2);
     }
 
     #[test]
@@ -66,7 +59,7 @@ mod tests {
         // Singleton at index 1 goes first even though index 2 is staler.
         let entries = [(0, 8), (1, 1), (3, 4), (2, 2)];
         assert_eq!(
-            ReplacementPolicy::SmallestCoalescedFirst.choose_victim(&entries),
+            ReplacementPolicy::SmallestCoalescedFirst.choose_victim(entries),
             1
         );
     }
@@ -76,7 +69,7 @@ mod tests {
         // Two singletons: the staler one (rank 3, index 2) goes.
         let entries = [(0, 4), (1, 1), (3, 1)];
         assert_eq!(
-            ReplacementPolicy::SmallestCoalescedFirst.choose_victim(&entries),
+            ReplacementPolicy::SmallestCoalescedFirst.choose_victim(entries),
             2
         );
     }
@@ -84,6 +77,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "candidates")]
     fn empty_candidates_panic() {
-        ReplacementPolicy::Lru.choose_victim(&[]);
+        ReplacementPolicy::Lru.choose_victim([]);
     }
 }

@@ -58,11 +58,60 @@ pub struct SaStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<SaEntry>>, // each set ordered MRU-first
+    /// Entries, `ways` slots per set, set-major. Set `s` holds its
+    /// `lens[s]` live entries in `slots[s * ways..][..lens[s]]`, MRU
+    /// first; the slots after them are stale.
+    slots: Vec<SaEntry>,
+    lens: Vec<u8>,
     ways: usize,
     shift: u32,
     policy: ReplacementPolicy,
     stats: SaStats,
+}
+
+/// One set of the flat layout: its `ways` slots and its live count.
+struct Set<'a> {
+    slots: &'a mut [SaEntry],
+    len: &'a mut u8,
+}
+
+impl Set<'_> {
+    fn len(&self) -> usize {
+        *self.len as usize
+    }
+
+    fn live(&self) -> &[SaEntry] {
+        &self.slots[..self.len()]
+    }
+
+    /// Removes the entry at `pos`, shifting staler entries up.
+    fn remove(&mut self, pos: usize) -> SaEntry {
+        let entry = self.slots[pos];
+        self.slots.copy_within(pos + 1..self.len(), pos);
+        *self.len -= 1;
+        entry
+    }
+
+    /// Inserts `entry` at recency rank `at`; the set must not be full.
+    fn insert(&mut self, at: usize, entry: SaEntry) {
+        self.slots.copy_within(at..self.len(), at + 1);
+        self.slots[at] = entry;
+        *self.len += 1;
+    }
+
+    /// Keeps the entries `keep` accepts, in order; returns how many went.
+    fn retain(&mut self, mut keep: impl FnMut(&SaEntry) -> bool) -> usize {
+        let before = self.len();
+        let mut kept = 0;
+        for i in 0..before {
+            if keep(&self.slots[i]) {
+                self.slots[kept] = self.slots[i];
+                kept += 1;
+            }
+        }
+        *self.len = kept as u8;
+        before - kept
+    }
 }
 
 impl SetAssocTlb {
@@ -70,16 +119,20 @@ impl SetAssocTlb {
     /// bits left-shifted by `shift` (max coalescing `2^shift`).
     ///
     /// # Panics
-    /// Panics unless `entries` is a power-of-two multiple of `ways` and
-    /// `shift <= 3` (coalescing is bounded by the eight PTEs of one cache
-    /// line, §4.1.4).
+    /// Panics unless `entries` is a power-of-two multiple of `ways`,
+    /// `ways` fits a set's `u8` live count, and `shift <= 3` (coalescing
+    /// is bounded by the eight PTEs of one cache line, §4.1.4).
     pub fn new(entries: usize, ways: usize, shift: u32) -> Self {
         assert!(ways > 0 && entries.is_multiple_of(ways), "entries must divide into ways");
+        assert!(u8::try_from(ways).is_ok(), "associativity {ways} exceeds the set length type");
         let num_sets = entries / ways;
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         assert!(shift <= 3, "coalescing beyond one cache line is not possible");
+        let filler =
+            SaEntry::new(CoalescedRun::single(Vpn::new(0), Pfn::new(0), PteFlags::empty()), 0);
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            slots: vec![filler; entries],
+            lens: vec![0; num_sets],
             ways,
             shift,
             policy: ReplacementPolicy::Lru,
@@ -101,7 +154,7 @@ impl SetAssocTlb {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Associativity.
@@ -120,7 +173,16 @@ impl SetAssocTlb {
     }
 
     fn set_index(&self, vpn: Vpn) -> usize {
-        ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
+        ((vpn.raw() >> self.shift) as usize) & (self.lens.len() - 1)
+    }
+
+    /// The live entries of set `idx`, MRU first.
+    fn live(&self, idx: usize) -> &[SaEntry] {
+        &self.slots[idx * self.ways..][..self.lens[idx] as usize]
+    }
+
+    fn set_mut(&mut self, idx: usize) -> Set<'_> {
+        Set { slots: &mut self.slots[idx * self.ways..][..self.ways], len: &mut self.lens[idx] }
     }
 
     /// Looks up `vpn`, updating LRU state and hit/miss counters. Untagged
@@ -134,51 +196,39 @@ impl SetAssocTlb {
     /// `asid` can hit, so stale translations of a descheduled address
     /// space are invisible without a flush.
     pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some()) {
-            let entry = set.remove(pos);
-            let hit = SaHit {
-                pfn: entry.lookup(vpn).expect("position found by lookup"),
-                flags: entry.flags(),
-                entry_len: entry.coalesced_len(),
-                run: entry.run(),
-            };
-            set.insert(0, entry);
-            self.stats.hits += 1;
-            return Some(hit);
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Batched lookup: translates every VPN of `vpns` in order,
-    /// appending one result per VPN to `out`. State transitions (LRU
-    /// promotion, hit/miss counters) are byte-identical to the same
-    /// sequence of [`SetAssocTlb::lookup`] calls — batching only
-    /// amortizes the per-call overhead of the sweep hot path.
-    pub fn lookup_batch(&mut self, vpns: &[Vpn], out: &mut Vec<Option<SaHit>>) {
-        self.lookup_batch_tagged(vpns, Asid(0), out);
-    }
-
-    /// Tagged variant of [`SetAssocTlb::lookup_batch`].
-    pub fn lookup_batch_tagged(&mut self, vpns: &[Vpn], asid: Asid, out: &mut Vec<Option<SaHit>>) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.lookup_tagged(vpn, asid));
-        }
+        let set = self.set_mut(self.set_index(vpn));
+        let found = set
+            .live()
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.asid() == asid)
+            .find_map(|(pos, e)| Some((pos, e.lookup(vpn)?)));
+        let Some((pos, pfn)) = found else {
+            self.stats.misses += 1;
+            return None;
+        };
+        set.slots[..=pos].rotate_right(1);
+        let entry = set.slots[0];
+        self.stats.hits += 1;
+        Some(SaHit {
+            pfn,
+            flags: entry.flags(),
+            entry_len: entry.coalesced_len(),
+            run: entry.run(),
+        })
     }
 
     /// Checks for a hit without touching LRU or counters (any ASID).
     pub fn probe(&self, vpn: Vpn) -> Option<Pfn> {
-        let idx = self.set_index(vpn);
-        self.sets[idx].iter().find_map(|e| e.lookup(vpn))
+        self.live(self.set_index(vpn)).iter().find_map(|e| e.lookup(vpn))
     }
 
     /// ASID-selective probe: no LRU or counter side effects.
     pub fn probe_tagged(&self, vpn: Vpn, asid: Asid) -> Option<Pfn> {
-        let idx = self.set_index(vpn);
-        self.sets[idx].iter().filter(|e| e.asid() == asid).find_map(|e| e.lookup(vpn))
+        self.live(self.set_index(vpn))
+            .iter()
+            .filter(|e| e.asid() == asid)
+            .find_map(|e| e.lookup(vpn))
     }
 
     /// Inserts a coalesced run, which must fit the TLB's index group.
@@ -200,38 +250,38 @@ impl SetAssocTlb {
     /// considers resident entries with the same tag: two address spaces
     /// may map the same VPNs to different frames.
     pub fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<SaEntry> {
-        let entry = SaEntry::new_tagged(run, self.shift, asid);
-        let idx = self.set_index(run.start_vpn);
         let shift = self.shift;
-        let set = &mut self.sets[idx];
+        let entry = SaEntry::new_tagged(run, shift, asid);
+        let group = entry.group(shift);
+        let (policy, ways) = (self.policy, self.ways);
         self.stats.insertions += 1;
+        let mut set = self.set_mut(self.set_index(run.start_vpn));
+        let len = set.len();
 
         // Try merging with a resident entry of the same group.
-        for pos in 0..set.len() {
-            if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
-                if let Some(union) = set[pos].run().try_union(&run) {
-                    set.remove(pos);
-                    set.insert(0, SaEntry::new_tagged(union, shift, asid));
+        for pos in 0..len {
+            let resident = set.slots[pos];
+            if resident.asid() == asid && resident.group(shift) == group {
+                if let Some(union) = resident.run().try_union(&run) {
+                    set.slots[pos] = SaEntry::new_tagged(union, shift, asid);
+                    set.slots[..=pos].rotate_right(1);
                     self.stats.merges += 1;
                     return None;
                 }
             }
         }
 
-        let evicted = if set.len() == self.ways {
-            self.stats.evictions += 1;
-            let candidates: Vec<(usize, u64)> = set
-                .iter()
-                .enumerate()
-                .map(|(rank, e)| (rank, e.coalesced_len()))
-                .collect();
-            let victim = self.policy.choose_victim(&candidates);
-            Some(set.remove(victim))
-        } else {
-            None
-        };
-        set.insert(0, entry);
-        evicted
+        if len < ways {
+            set.insert(0, entry);
+            return None;
+        }
+        let candidates = set.slots.iter().enumerate().map(|(rank, e)| (rank, e.coalesced_len()));
+        let victim = policy.choose_victim(candidates);
+        let evicted = set.slots[victim];
+        set.slots[..=victim].rotate_right(1);
+        set.slots[0] = entry;
+        self.stats.evictions += 1;
+        Some(evicted)
     }
 
     /// Gracefully uncoalesces on invalidation (§4.1.5 future work):
@@ -248,57 +298,57 @@ impl SetAssocTlb {
     }
 
     fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
-        let idx = self.set_index(vpn);
-        let shift = self.shift;
-        let ways = self.ways;
-        let set = &mut self.sets[idx];
+        let (shift, ways, policy) = (self.shift, self.ways, self.policy);
+        let mut set = self.set_mut(self.set_index(vpn));
         let mut affected = 0;
+        let mut evictions = 0;
         let mut pos = 0;
         while pos < set.len() {
-            if filter.is_some_and(|a| set[pos].asid() != a) {
+            let entry = set.slots[pos];
+            if filter.is_some_and(|a| entry.asid() != a) {
                 pos += 1;
                 continue;
             }
-            let entry_asid = set[pos].asid();
-            if let Some((left, right)) = set[pos].run().split_at(vpn) {
-                affected += 1;
-                set.remove(pos);
-                // Remnants re-enter at the same recency position; both
-                // stay within the original entry's index group.
-                let mut insert_at = pos;
-                for remnant in [left, right].into_iter().flatten() {
-                    if set.len() >= ways {
-                        // Splitting one entry into two can overflow the
-                        // set: make room through the replacement policy
-                        // instead of silently dropping a still-valid
-                        // remnant — but never victimise a remnant just
-                        // re-inserted (ranks `pos..insert_at`).
-                        let candidates: Vec<(usize, u64)> = set
-                            .iter()
-                            .enumerate()
-                            .filter(|(rank, _)| !(pos..insert_at).contains(rank))
-                            .map(|(rank, e)| (rank, e.coalesced_len()))
-                            .collect();
-                        if candidates.is_empty() {
-                            continue; // one-way set already holds a remnant
-                        }
-                        let victim = candidates[self.policy.choose_victim(&candidates)].0;
-                        self.stats.evictions += 1;
-                        set.remove(victim);
-                        if victim < insert_at {
-                            insert_at -= 1;
-                            if victim < pos {
-                                pos -= 1;
-                            }
-                        }
-                    }
-                    set.insert(insert_at.min(set.len()), SaEntry::new_tagged(remnant, shift, entry_asid));
-                    insert_at += 1;
-                }
-            } else {
+            let Some((left, right)) = entry.run().split_at(vpn) else {
                 pos += 1;
+                continue;
+            };
+            affected += 1;
+            set.remove(pos);
+            // Remnants re-enter at the same recency position; both stay
+            // within the original entry's index group.
+            let mut insert_at = pos;
+            for remnant in [left, right].into_iter().flatten() {
+                if set.len() >= ways {
+                    // Splitting one entry into two can overflow the set:
+                    // make room through the replacement policy instead of
+                    // silently dropping a still-valid remnant — but never
+                    // victimise a remnant just re-inserted (ranks
+                    // `pos..insert_at`).
+                    let fresh = insert_at - pos;
+                    if set.len() == fresh {
+                        continue; // one-way set already holds a remnant
+                    }
+                    let candidates = set
+                        .live()
+                        .iter()
+                        .enumerate()
+                        .filter(|(rank, _)| !(pos..insert_at).contains(rank))
+                        .map(|(rank, e)| (rank, e.coalesced_len()));
+                    let chosen = policy.choose_victim(candidates);
+                    let victim = if chosen < pos { chosen } else { chosen + fresh };
+                    evictions += 1;
+                    set.remove(victim);
+                    if victim < pos {
+                        pos -= 1;
+                        insert_at -= 1;
+                    }
+                }
+                set.insert(insert_at, SaEntry::new_tagged(remnant, shift, entry.asid()));
+                insert_at += 1;
             }
         }
+        self.stats.evictions += evictions;
         self.stats.invalidations += affected as u64;
         affected
     }
@@ -307,11 +357,7 @@ impl SetAssocTlb {
     /// entries are flushed, losing their sibling translations (§4.1.5).
     /// Returns the number of entries removed.
     pub fn invalidate(&mut self, vpn: Vpn) -> usize {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|e| e.lookup(vpn).is_none());
-        let removed = before - set.len();
+        let removed = self.set_mut(self.set_index(vpn)).retain(|e| e.lookup(vpn).is_none());
         self.stats.invalidations += removed as u64;
         removed
     }
@@ -319,53 +365,41 @@ impl SetAssocTlb {
     /// Invalidates entries covering `vpn` that are tagged `asid` (remote
     /// shootdown in SMP tagged mode). Returns the number removed.
     pub fn invalidate_asid(&mut self, vpn: Vpn, asid: Asid) -> usize {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|e| e.asid() != asid || e.lookup(vpn).is_none());
-        let removed = before - set.len();
+        let removed = self
+            .set_mut(self.set_index(vpn))
+            .retain(|e| e.asid() != asid || e.lookup(vpn).is_none());
         self.stats.invalidations += removed as u64;
         removed
     }
 
     /// Flushes the whole TLB.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            self.stats.invalidations += set.len() as u64;
-            set.clear();
-        }
+        self.stats.invalidations += self.occupancy() as u64;
+        self.lens.fill(0);
     }
 
     /// Flushes only entries tagged `asid` (process exit or ASID
     /// recycling). Returns the number removed.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        let mut removed = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|e| e.asid() != asid);
-            removed += before - set.len();
-        }
+        let removed: usize =
+            (0..self.num_sets()).map(|idx| self.set_mut(idx).retain(|e| e.asid() != asid)).sum();
         self.stats.invalidations += removed as u64;
         removed
     }
 
     /// Number of live entries.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Total translations covered by live entries (reach in pages).
     pub fn covered_pages(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(SaEntry::coalesced_len)
-            .sum()
+        self.iter().map(SaEntry::coalesced_len).sum()
     }
 
     /// Iterates live entries (MRU-first within each set).
     pub fn iter(&self) -> impl Iterator<Item = &SaEntry> {
-        self.sets.iter().flatten()
+        self.slots.chunks(self.ways).zip(&self.lens).flat_map(|(set, &n)| &set[..n as usize])
     }
 }
 
@@ -593,18 +627,5 @@ mod tests {
         tlb.probe(Vpn::new(0)); // must NOT promote 0
         let evicted = tlb.insert(run(8, 108, 1)).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(0));
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let vpns: Vec<Vpn> = [8, 9, 100, 11, 8, 50, 10].map(Vpn::new).to_vec();
-        let mut seq = SetAssocTlb::new(32, 4, 2);
-        seq.insert(run(8, 100, 4));
-        let mut batched = seq.clone();
-        let expected: Vec<Option<SaHit>> = vpns.iter().map(|&v| seq.lookup(v)).collect();
-        let mut got = Vec::new();
-        batched.lookup_batch(&vpns, &mut got);
-        assert_eq!(got, expected);
-        assert_eq!(batched.stats(), seq.stats(), "counters and LRU evolve identically");
     }
 }

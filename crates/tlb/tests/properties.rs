@@ -1,13 +1,14 @@
 //! Property-based tests of the TLB structures' core invariants.
 
-use colt_os_mem::addr::{Pfn, Vpn};
+use colt_os_mem::addr::{Asid, Pfn, Vpn};
 use colt_os_mem::page_table::{PageTable, Pte, PteFlags};
 use colt_tlb::coalesce::coalesce_line;
 use colt_tlb::config::TlbConfig;
-use colt_tlb::entry::{CoalescedRun, RangeEntry};
-use colt_tlb::fully_assoc::FullyAssocTlb;
+use colt_tlb::entry::{CoalescedRun, RangeEntry, RangeKind, SaEntry};
+use colt_tlb::fully_assoc::{FaHit, FaStats, FullyAssocTlb};
 use colt_tlb::hierarchy::{TlbHierarchy, WalkFill};
-use colt_tlb::set_assoc::SetAssocTlb;
+use colt_tlb::replacement::ReplacementPolicy;
+use colt_tlb::set_assoc::{SaHit, SaStats, SetAssocTlb};
 use colt_quickprop::prelude::*;
 
 /// A random page table over a window of vpns, with runs of contiguity.
@@ -340,6 +341,454 @@ proptest! {
                 let v = Vpn::new(v);
                 prop_assert_eq!(masked.translate(v), Some(pt.translate(v).unwrap().pfn));
             }
+        }
+    }
+}
+
+/// The set-associative TLB as it was stored before the flat layout: one
+/// MRU-first `Vec` per set, promotion by `remove` + `insert(0, ..)`, and
+/// victims picked from a collected candidate list. The model tests below
+/// hold the real structure to this reference state after every operation.
+struct SaModel {
+    sets: Vec<Vec<SaEntry>>,
+    ways: usize,
+    shift: u32,
+    policy: ReplacementPolicy,
+    stats: SaStats,
+}
+
+/// Victim index into `candidates` (`(lru_rank, len)`, higher rank = staler).
+fn model_victim(policy: ReplacementPolicy, candidates: &[(usize, u64)]) -> usize {
+    let ranked = candidates.iter().enumerate();
+    match policy {
+        ReplacementPolicy::Lru => ranked.max_by_key(|(_, &(rank, _))| rank),
+        ReplacementPolicy::SmallestCoalescedFirst => {
+            ranked.min_by_key(|(_, &(rank, len))| (len, usize::MAX - rank))
+        }
+    }
+    .expect("victim selection needs candidates")
+    .0
+}
+
+impl SaModel {
+    fn new(entries: usize, ways: usize, shift: u32, policy: ReplacementPolicy) -> Self {
+        Self {
+            sets: vec![Vec::new(); entries / ways],
+            ways,
+            shift,
+            policy,
+            stats: SaStats::default(),
+        }
+    }
+
+    fn set_index(&self, vpn: Vpn) -> usize {
+        ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
+    }
+
+    fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
+        let idx = self.set_index(vpn);
+        let set = &mut self.sets[idx];
+        if let Some(pos) = set.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some()) {
+            let entry = set.remove(pos);
+            let hit = SaHit {
+                pfn: entry.lookup(vpn).unwrap(),
+                flags: entry.flags(),
+                entry_len: entry.coalesced_len(),
+                run: entry.run(),
+            };
+            set.insert(0, entry);
+            self.stats.hits += 1;
+            return Some(hit);
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<SaEntry> {
+        let entry = SaEntry::new_tagged(run, self.shift, asid);
+        let idx = self.set_index(run.start_vpn);
+        let shift = self.shift;
+        let set = &mut self.sets[idx];
+        self.stats.insertions += 1;
+        for pos in 0..set.len() {
+            if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
+                if let Some(union) = set[pos].run().try_union(&run) {
+                    set.remove(pos);
+                    set.insert(0, SaEntry::new_tagged(union, shift, asid));
+                    self.stats.merges += 1;
+                    return None;
+                }
+            }
+        }
+        let evicted = if set.len() == self.ways {
+            self.stats.evictions += 1;
+            let candidates: Vec<(usize, u64)> =
+                set.iter().enumerate().map(|(rank, e)| (rank, e.coalesced_len())).collect();
+            Some(set.remove(model_victim(self.policy, &candidates)))
+        } else {
+            None
+        };
+        set.insert(0, entry);
+        evicted
+    }
+
+    fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
+        let idx = self.set_index(vpn);
+        let (shift, ways, policy) = (self.shift, self.ways, self.policy);
+        let set = &mut self.sets[idx];
+        let mut affected = 0;
+        let mut pos = 0;
+        while pos < set.len() {
+            if filter.is_some_and(|a| set[pos].asid() != a) {
+                pos += 1;
+                continue;
+            }
+            let entry_asid = set[pos].asid();
+            if let Some((left, right)) = set[pos].run().split_at(vpn) {
+                affected += 1;
+                set.remove(pos);
+                let mut insert_at = pos;
+                for remnant in [left, right].into_iter().flatten() {
+                    if set.len() >= ways {
+                        let candidates: Vec<(usize, u64)> = set
+                            .iter()
+                            .enumerate()
+                            .filter(|(rank, _)| !(pos..insert_at).contains(rank))
+                            .map(|(rank, e)| (rank, e.coalesced_len()))
+                            .collect();
+                        if candidates.is_empty() {
+                            continue;
+                        }
+                        let victim = candidates[model_victim(policy, &candidates)].0;
+                        self.stats.evictions += 1;
+                        set.remove(victim);
+                        if victim < insert_at {
+                            insert_at -= 1;
+                            if victim < pos {
+                                pos -= 1;
+                            }
+                        }
+                    }
+                    set.insert(
+                        insert_at.min(set.len()),
+                        SaEntry::new_tagged(remnant, shift, entry_asid),
+                    );
+                    insert_at += 1;
+                }
+            } else {
+                pos += 1;
+            }
+        }
+        self.stats.invalidations += affected as u64;
+        affected
+    }
+
+    fn retain_in(&mut self, vpn: Option<Vpn>, keep: impl Fn(&SaEntry) -> bool) -> usize {
+        let mut removed = 0;
+        let only = vpn.map(|v| self.set_index(v));
+        for (idx, set) in self.sets.iter_mut().enumerate() {
+            if only.is_none_or(|o| o == idx) {
+                let before = set.len();
+                set.retain(&keep);
+                removed += before - set.len();
+            }
+        }
+        self.stats.invalidations += removed as u64;
+        removed
+    }
+
+    fn iter(&self) -> Vec<SaEntry> {
+        self.sets.iter().flatten().copied().collect()
+    }
+}
+
+/// The fully-associative TLB's pre-rotate reference, as [`SaModel`] is
+/// for the set-associative one.
+struct FaModel {
+    entries: Vec<RangeEntry>,
+    capacity: usize,
+    policy: ReplacementPolicy,
+    stats: FaStats,
+}
+
+impl FaModel {
+    fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
+        if let Some(pos) =
+            self.entries.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
+        {
+            let entry = self.entries.remove(pos);
+            let hit = FaHit {
+                pfn: entry.lookup(vpn).unwrap(),
+                flags: entry.flags(),
+                entry_len: entry.run().len,
+                superpage: entry.kind() == RangeKind::Superpage,
+            };
+            self.entries.insert(0, entry);
+            self.stats.hits += 1;
+            return Some(hit);
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
+        self.stats.insertions += 1;
+        let evicted = if self.entries.len() == self.capacity {
+            self.stats.evictions += 1;
+            let candidates: Vec<(usize, u64)> =
+                self.entries.iter().enumerate().map(|(rank, e)| (rank, e.run().len)).collect();
+            Some(self.entries.remove(model_victim(self.policy, &candidates)))
+        } else {
+            None
+        };
+        self.entries.insert(0, entry);
+        evicted
+    }
+
+    fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
+        let mut affected = 0;
+        let mut pos = 0;
+        while pos < self.entries.len() {
+            if filter.is_some_and(|a| self.entries[pos].asid() != a)
+                || self.entries[pos].lookup(vpn).is_none()
+            {
+                pos += 1;
+                continue;
+            }
+            affected += 1;
+            let entry = self.entries.remove(pos);
+            if entry.kind() == RangeKind::Superpage {
+                continue;
+            }
+            let (left, right) = entry.run().split_at(vpn).unwrap();
+            let mut insert_at = pos;
+            for remnant in [left, right].into_iter().flatten() {
+                if self.entries.len() >= self.capacity {
+                    let candidates: Vec<(usize, u64)> = self
+                        .entries
+                        .iter()
+                        .enumerate()
+                        .filter(|(rank, _)| !(pos..insert_at).contains(rank))
+                        .map(|(rank, e)| (rank, e.run().len))
+                        .collect();
+                    if candidates.is_empty() {
+                        continue;
+                    }
+                    let victim = candidates[model_victim(self.policy, &candidates)].0;
+                    self.stats.evictions += 1;
+                    self.entries.remove(victim);
+                    if victim < insert_at {
+                        insert_at -= 1;
+                        if victim < pos {
+                            pos -= 1;
+                        }
+                    }
+                }
+                self.entries.insert(
+                    insert_at.min(self.entries.len()),
+                    RangeEntry::coalesced_tagged(remnant, entry.asid()),
+                );
+                insert_at += 1;
+            }
+        }
+        self.stats.invalidations += affected as u64;
+        affected
+    }
+
+    fn insert_coalesced_with_merge_tagged(
+        &mut self,
+        run: CoalescedRun,
+        asid: Asid,
+    ) -> Option<RangeEntry> {
+        let mut acc = run;
+        loop {
+            let mut merged_any = false;
+            let mut pos = 0;
+            while pos < self.entries.len() {
+                if self.entries[pos].asid() == asid {
+                    if let Some(merged) = self.entries[pos].try_merge(&acc) {
+                        self.entries.remove(pos);
+                        acc = merged.run();
+                        self.stats.merges += 1;
+                        merged_any = true;
+                        continue;
+                    }
+                }
+                pos += 1;
+            }
+            if !merged_any {
+                break;
+            }
+        }
+        self.insert(RangeEntry::coalesced_tagged(acc, asid))
+    }
+
+    fn retain(&mut self, keep: impl Fn(&RangeEntry) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(keep);
+        let removed = before - self.entries.len();
+        self.stats.invalidations += removed as u64;
+        removed
+    }
+}
+
+/// A TLB operation drawn as `(kind, vpn, len, anchor, asid, dirty)`.
+type RawOp = (u8, u64, u64, u64, u32, bool);
+
+fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
+    let op = (0u8..20, 0u64..96, 1u64..12, 0u64..2, 0u32..2, prop::bool::ANY);
+    prop::collection::vec(op, 1..160)
+}
+
+/// A run from `vpn` whose frames follow one of two anchors, so runs with
+/// equal anchors and attributes can merge.
+fn model_run(vpn: u64, len: u64, anchor: u64, dirty: bool) -> CoalescedRun {
+    let flags =
+        if dirty { PteFlags::user_data().with(PteFlags::DIRTY) } else { PteFlags::user_data() };
+    CoalescedRun::new(Vpn::new(vpn), Pfn::new(vpn + 1000 * (anchor + 1)), len, flags)
+}
+
+fn policy_of(smallest_first: bool) -> ReplacementPolicy {
+    if smallest_first {
+        ReplacementPolicy::SmallestCoalescedFirst
+    } else {
+        ReplacementPolicy::Lru
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat set-associative TLB holds exactly the reference state
+    /// after every operation: same entries in the same MRU order per
+    /// set, the same hits and evicted entries, the same counters — under
+    /// both replacement policies, merges, every invalidation flavour and
+    /// flushes.
+    #[test]
+    fn set_assoc_matches_the_mru_vec_model(
+        geometry in (0u32..3, 0u32..3, 0u32..4, prop::bool::ANY),
+        ops in raw_ops(),
+    ) {
+        let (ways_log, sets_log, shift, smallest_first) = geometry;
+        let (ways, entries) = (1usize << ways_log, 1usize << (ways_log + sets_log));
+        let policy = policy_of(smallest_first);
+        let mut tlb = SetAssocTlb::new(entries, ways, shift).with_policy(policy);
+        let mut model = SaModel::new(entries, ways, shift, policy);
+        for (step, &(kind, v, len, anchor, asid, dirty)) in ops.iter().enumerate() {
+            let (vpn, tag) = (Vpn::new(v), Asid(asid));
+            match kind {
+                0..=6 => {
+                    let group_end = (v >> shift << shift) + (1 << shift);
+                    let run = model_run(v, len.min(group_end - v), anchor, dirty);
+                    let got =
+                        if asid == 0 { tlb.insert(run) } else { tlb.insert_tagged(run, tag) };
+                    prop_assert_eq!(got, model.insert_tagged(run, tag), "insert, step {}", step);
+                }
+                7..=12 => {
+                    let got =
+                        if asid == 0 { tlb.lookup(vpn) } else { tlb.lookup_tagged(vpn, tag) };
+                    prop_assert_eq!(got, model.lookup_tagged(vpn, tag), "lookup, step {}", step);
+                }
+                13 => prop_assert_eq!(
+                    tlb.invalidate(vpn),
+                    model.retain_in(Some(vpn), |e| e.lookup(vpn).is_none())
+                ),
+                14 => prop_assert_eq!(
+                    tlb.invalidate_asid(vpn, tag),
+                    model.retain_in(Some(vpn), |e| e.asid() != tag || e.lookup(vpn).is_none())
+                ),
+                15 | 16 => prop_assert_eq!(
+                    tlb.invalidate_graceful(vpn),
+                    model.invalidate_graceful_filtered(vpn, None)
+                ),
+                17 => prop_assert_eq!(
+                    tlb.invalidate_graceful_asid(vpn, tag),
+                    model.invalidate_graceful_filtered(vpn, Some(tag))
+                ),
+                18 => {
+                    prop_assert_eq!(tlb.flush_asid(tag), model.retain_in(None, |e| e.asid() != tag))
+                }
+                _ => {
+                    tlb.flush();
+                    model.retain_in(None, |_| false);
+                }
+            }
+            let order: Vec<SaEntry> = tlb.iter().copied().collect();
+            prop_assert_eq!(order, model.iter(), "order after step {}", step);
+            prop_assert_eq!(tlb.stats(), model.stats, "counters after step {}", step);
+        }
+    }
+
+    /// The fully-associative TLB holds exactly the reference state after
+    /// every operation, with coalesced ranges, superpages, resident
+    /// merging, every invalidation flavour and flushes.
+    #[test]
+    fn fully_assoc_matches_the_mru_vec_model(
+        geometry in (1usize..9, prop::bool::ANY),
+        ops in raw_ops(),
+    ) {
+        let (capacity, smallest_first) = geometry;
+        let policy = policy_of(smallest_first);
+        let mut tlb = FullyAssocTlb::new(capacity).with_policy(policy);
+        let mut model =
+            FaModel { entries: Vec::new(), capacity, policy, stats: FaStats::default() };
+        for (step, &(kind, v, len, anchor, asid, dirty)) in ops.iter().enumerate() {
+            let tag = Asid(asid);
+            // Lookups and invalidations also reach the two superpages'
+            // regions above the coalesced window.
+            let vpn = Vpn::new(v + 512 * (len % 3));
+            match kind {
+                0..=3 => {
+                    let run = model_run(v, len, anchor, dirty);
+                    let entry = RangeEntry::coalesced_tagged(run, tag);
+                    prop_assert_eq!(tlb.insert(entry), model.insert(entry), "step {}", step);
+                }
+                4 => {
+                    let k = 1 + anchor;
+                    let entry = RangeEntry::superpage_tagged(
+                        Vpn::new(512 * k), Pfn::new(512 * (k + 8)), PteFlags::user_data(), tag,
+                    );
+                    prop_assert_eq!(tlb.insert(entry), model.insert(entry), "step {}", step);
+                }
+                5 | 6 => {
+                    let run = model_run(v, len, anchor, dirty);
+                    let got = if asid == 0 {
+                        tlb.insert_coalesced_with_merge(run)
+                    } else {
+                        tlb.insert_coalesced_with_merge_tagged(run, tag)
+                    };
+                    let want = model.insert_coalesced_with_merge_tagged(run, tag);
+                    prop_assert_eq!(got, want, "merge at step {}", step);
+                }
+                7..=12 => {
+                    let got =
+                        if asid == 0 { tlb.lookup(vpn) } else { tlb.lookup_tagged(vpn, tag) };
+                    prop_assert_eq!(got, model.lookup_tagged(vpn, tag), "lookup, step {}", step);
+                }
+                13 => {
+                    prop_assert_eq!(tlb.invalidate(vpn), model.retain(|e| e.lookup(vpn).is_none()))
+                }
+                14 => prop_assert_eq!(
+                    tlb.invalidate_asid(vpn, tag),
+                    model.retain(|e| e.asid() != tag || e.lookup(vpn).is_none())
+                ),
+                15 | 16 => prop_assert_eq!(
+                    tlb.invalidate_graceful(vpn),
+                    model.invalidate_graceful_filtered(vpn, None)
+                ),
+                17 => prop_assert_eq!(
+                    tlb.invalidate_graceful_asid(vpn, tag),
+                    model.invalidate_graceful_filtered(vpn, Some(tag))
+                ),
+                18 => prop_assert_eq!(tlb.flush_asid(tag), model.retain(|e| e.asid() != tag)),
+                _ => {
+                    tlb.flush();
+                    model.retain(|_| false);
+                }
+            }
+            let order: Vec<RangeEntry> = tlb.iter().copied().collect();
+            prop_assert_eq!(&order, &model.entries, "order after step {}", step);
+            prop_assert_eq!(tlb.stats(), model.stats, "counters after step {}", step);
         }
     }
 }

@@ -13,6 +13,8 @@
 # --resume must still be byte-identical),
 # an MM-policy smoke (the policy sweep on a small grid, a
 # `--policy default` byte-identity diff, and policy-counter gates),
+# a seed-0 digest gate (each perfbench workload must reproduce the
+# simulated-statistics digest stored in perfbench/digests.txt),
 # and a quick parallel smoke sweep with a throughput regression gate.
 #
 # The gate compares the smoke sweep's aggregate refs/sec against the
@@ -45,6 +47,22 @@ cargo build --release
 
 echo "== cargo test =="
 cargo test -q
+
+# Seed-0 digest gate: one short perfbench run per workload. At seed 0
+# perfbench compares the digest of every simulated statistic (and, for
+# prepare, every preparation) with perfbench/digests.txt, so a change
+# to cache, TLB or walker state that moves any number fails here, not
+# only in the benchmark pipeline. Reads perfbench/; edits nothing there.
+for workload in translate churn prepare; do
+    echo "== digest gate: perfbench --workload $workload --seed 0 =="
+    last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<< "$last" || ! grep -q '"failed": 0,' <<< "$last"; then
+        echo "FAIL: perfbench $workload at seed 0 is not correct: $last" >&2
+        exit 1
+    fi
+done
+echo "digest gate passed (translate, churn and prepare match perfbench/digests.txt)"
 
 baseline_rps=""
 baseline_amortized=""
