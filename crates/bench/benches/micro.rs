@@ -2,9 +2,9 @@
 //!
 //! These quantify the cost of the operations every experiment performs
 //! millions of times: TLB lookups (set-associative and range-check),
-//! the coalescing logic, buddy allocation/free, compaction passes, and
-//! full page walks. Self-timed via `colt_bench::harness` (the offline
-//! build cannot fetch criterion).
+//! the coalescing logic, buddy allocation/free, compaction passes, the
+//! address-space area table, and full page walks. Self-timed via
+//! `colt_bench::harness` (the offline build cannot fetch criterion).
 
 use colt_bench::harness::Harness;
 use colt_memsim::hierarchy::CacheHierarchy;
@@ -14,6 +14,7 @@ use colt_os_mem::buddy::BuddyAllocator;
 use colt_os_mem::contiguity::ContiguityReport;
 use colt_os_mem::kernel::{Kernel, KernelConfig};
 use colt_os_mem::page_table::{PageTable, Pte, PteFlags};
+use colt_os_mem::vma::{AddressSpace, VmaKind};
 use colt_tlb::coalesce::coalesce_line;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::entry::CoalescedRun;
@@ -163,6 +164,52 @@ fn bench_compaction(c: &mut Harness) {
     });
 }
 
+/// Areas in the address space the `vma` group works on.
+const VMA_AREAS: u64 = 20_000;
+
+/// Reserves `VMA_AREAS` areas of 1..=600 pages (the large anonymous
+/// ones superpage-aligned) and returns the space with their starts.
+fn populated_space() -> (AddressSpace, Vec<Vpn>) {
+    let mut space = AddressSpace::new(1 << 32);
+    let starts = (0..VMA_AREAS)
+        .map(|i| {
+            let kind = if i % 3 == 0 { VmaKind::FileBacked } else { VmaKind::Anonymous };
+            let vma = space.reserve(1 + i * 7919 % 600, kind, PteFlags::user_data());
+            vma.expect("layout fits").start
+        })
+        .collect();
+    (space, starts)
+}
+
+fn bench_vma(c: &mut Harness) {
+    let mut group = c.benchmark_group("vma");
+    group.bench_function("reserve_20k_areas", |b| {
+        b.iter_batched_ref(|| (), |_| black_box(populated_space().0.len()))
+    });
+    group.bench_function("remove_20k_areas_scattered", |b| {
+        b.iter_batched_ref(populated_space, |(space, starts)| {
+            // A stride coprime to the area count visits every area once,
+            // out of address order.
+            for i in 0..VMA_AREAS {
+                space.remove(starts[(i * 7_333 % VMA_AREAS) as usize]).expect("live area");
+            }
+        })
+    });
+    let (mut space, starts) = populated_space();
+    for start in starts.iter().step_by(3) {
+        space.remove(*start).expect("live area");
+    }
+    let span = space.iter().last().expect("areas remain").end().raw();
+    let mut v = 0u64;
+    group.bench_function("find_in_20k_areas", |b| {
+        b.iter(|| {
+            v = (v + 104_729) % span;
+            black_box(space.find(Vpn::new(v)))
+        })
+    });
+    group.finish();
+}
+
 fn bench_page_walk(c: &mut Harness) {
     let pt = contiguous_page_table(4096);
     let mut walker = PageWalker::paper_default();
@@ -227,6 +274,7 @@ fn main() {
     bench_hierarchy_fill(&mut harness);
     bench_buddy(&mut harness);
     bench_compaction(&mut harness);
+    bench_vma(&mut harness);
     bench_page_walk(&mut harness);
     bench_prefetch_buffer(&mut harness);
     bench_nested_walk(&mut harness);

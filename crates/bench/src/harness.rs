@@ -4,8 +4,8 @@
 //! takes several timed samples, and reports the median ns/iter with the
 //! min..max spread. No statistics beyond that — the goal is a stable
 //! order-of-magnitude signal that builds offline, not criterion's
-//! rigor. Pass a substring argument to run a subset:
-//! `cargo bench --bench micro -- buddy`.
+//! rigor. Pass substring arguments to run a subset (a bench runs when
+//! its name contains any of them): `cargo bench --bench micro -- buddy vma`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ const SAMPLES: usize = 5;
 /// Collects results for one bench binary and prints the final table.
 pub struct Harness {
     title: &'static str,
-    filter: Option<String>,
+    filters: Vec<String>,
     results: Vec<BenchResult>,
 }
 
@@ -117,19 +117,17 @@ impl Bencher {
 }
 
 impl Harness {
-    /// Parses bench CLI args: any non-flag argument is a name filter;
+    /// Parses bench CLI args: every non-flag argument is a name filter;
     /// flags cargo passes (`--bench`) are ignored.
     pub fn from_args(title: &'static str) -> Self {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Self { title, filter, results: Vec::new() }
+        let filters = std::env::args().skip(1).filter(|a| !a.starts_with('-')).collect();
+        Self { title, filters, results: Vec::new() }
     }
 
     /// Registers and immediately runs one bench.
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.filters.is_empty() && !self.filters.iter().any(|f| name.contains(f.as_str())) {
+            return;
         }
         eprintln!("benchmarking {name} ...");
         let mut b = Bencher { samples_ns: Vec::new(), iters_per_sample: 0 };
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn bencher_iter_produces_samples() {
-        let mut h = Harness { title: "test", filter: None, results: Vec::new() };
+        let mut h = Harness { title: "test", filters: Vec::new(), results: Vec::new() };
         h.bench_function("spin", |b| b.iter(|| std::hint::black_box(3u64).wrapping_mul(7)));
         assert_eq!(h.results.len(), 1);
         let r = &h.results[0];
@@ -217,18 +215,20 @@ mod tests {
     fn filter_skips_non_matching() {
         let mut h = Harness {
             title: "test",
-            filter: Some("wanted".to_string()),
+            filters: vec!["wanted".to_string(), "also".to_string()],
             results: Vec::new(),
         };
         h.bench_function("other", |_| panic!("must not run"));
         h.bench_function("wanted_bench", |b| b.iter(|| 1u64 + 1));
-        assert_eq!(h.results.len(), 1);
+        h.bench_function("also_bench", |b| b.iter(|| 1u64 + 1));
+        assert_eq!(h.results.len(), 2);
         assert_eq!(h.results[0].name, "wanted_bench");
+        assert_eq!(h.results[1].name, "also_bench");
     }
 
     #[test]
     fn iter_batched_ref_excludes_setup() {
-        let mut h = Harness { title: "test", filter: None, results: Vec::new() };
+        let mut h = Harness { title: "test", filters: Vec::new(), results: Vec::new() };
         h.bench_function("batched", |b| {
             b.iter_batched_ref(|| vec![1u64; 8], |v| v.iter().sum::<u64>())
         });

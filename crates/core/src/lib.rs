@@ -25,9 +25,7 @@
 //!   layer,
 //! * [`vfs`] / [`io_faults`] — the storage seam every durable byte
 //!   goes through, and its seeded fault plan and ledger,
-//! * [`report`] / [`metrics`] — output formatting and comparisons,
-//! * [`serve`] — one caller-less leaf module left from the retired
-//!   serving leg, pending deletion.
+//! * [`report`] / [`metrics`] — output formatting and comparisons.
 //!
 //! The `repro` binary regenerates any experiment:
 //! `cargo run --release -p colt-core --bin repro -- fig18`.
@@ -59,7 +57,6 @@ pub mod metrics;
 pub mod perf;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod sim;
 pub mod snapshot_cache;
 pub mod vfs;

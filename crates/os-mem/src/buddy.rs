@@ -6,10 +6,13 @@
 //! iteratively halving the found block; freeing iteratively merges buddy
 //! pairs. By construction, a request for N pages receives N *contiguous*
 //! frames — the intermediate contiguity CoLT exploits.
+//!
+//! Each free list is a bitmap over aligned block indices with a summary
+//! bit per non-zero word, so taking the lowest block, finding the highest
+//! block below a limit and testing a buddy are word operations.
 
 use crate::addr::Pfn;
 use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
-use std::collections::BTreeSet;
 
 /// Highest buddy order (blocks of `2^MAX_ORDER` = 1024 pages = 4MB),
 /// matching Linux's eleven free lists (orders 0..=10).
@@ -64,6 +67,116 @@ impl FreeListHistogram {
     }
 }
 
+/// Largest `nr_frames` a snapshot may declare (2^32 frames = 16 TiB of
+/// 4KB frames), so a corrupt header cannot demand a huge bitmap.
+const MAX_DECODE_FRAMES: u64 = 1 << 32;
+
+/// The free blocks of one order as a bitmap over aligned block indices
+/// (`start >> order`), with one summary bit per non-zero word so the
+/// lowest and highest free block are found without scanning empty words.
+#[derive(Clone, Debug)]
+struct BlockBitmap {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
+}
+
+impl BlockBitmap {
+    /// An empty bitmap over block indices `0..bits`.
+    fn new(bits: u64) -> Self {
+        let words = bits.div_ceil(64) as usize;
+        Self { words: vec![0; words], summary: vec![0; words.div_ceil(64)], len: 0 }
+    }
+
+    fn contains(&self, i: u64) -> bool {
+        self.words
+            .get((i / 64) as usize)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
+    /// Sets bit `i`; false when it was already set.
+    ///
+    /// # Panics
+    /// Panics if `i` is beyond the bitmap.
+    fn insert(&mut self, i: u64) -> bool {
+        let w = (i / 64) as usize;
+        let bit = 1u64 << (i % 64);
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+        true
+    }
+
+    /// Clears bit `i`; false when it was not set.
+    fn remove(&mut self, i: u64) -> bool {
+        let w = (i / 64) as usize;
+        let bit = 1u64 << (i % 64);
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                if *word == 0 {
+                    self.summary[w / 64] &= !(1 << (w % 64));
+                }
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Lowest set index at or above `from`.
+    fn next_at_or_above(&self, from: u64) -> Option<u64> {
+        let w = (from / 64) as usize;
+        if self.len == 0 || w >= self.words.len() {
+            return None;
+        }
+        let bits = self.words[w] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(w as u64 * 64 + u64::from(bits.trailing_zeros()));
+        }
+        let next = w + 1;
+        let mut s = next / 64;
+        let mut summary = self.summary.get(s)? & (!0u64 << (next % 64));
+        while summary == 0 {
+            s += 1;
+            summary = *self.summary.get(s)?;
+        }
+        let w = s * 64 + summary.trailing_zeros() as usize;
+        Some(w as u64 * 64 + u64::from(self.words[w].trailing_zeros()))
+    }
+
+    /// Highest set index strictly below `end`.
+    fn last_below(&self, end: u64) -> Option<u64> {
+        let end = end.min(self.words.len() as u64 * 64);
+        if self.len == 0 || end == 0 {
+            return None;
+        }
+        let last = end - 1;
+        let w = (last / 64) as usize;
+        let bits = self.words[w] & (!0u64 >> (63 - last % 64));
+        if bits != 0 {
+            return Some(w as u64 * 64 + 63 - u64::from(bits.leading_zeros()));
+        }
+        let prev = w.checked_sub(1)?;
+        let mut s = prev / 64;
+        let mut summary = self.summary[s] & (!0u64 >> (63 - prev % 64));
+        while summary == 0 {
+            s = s.checked_sub(1)?;
+            summary = self.summary[s];
+        }
+        let w = s * 64 + 63 - summary.leading_zeros() as usize;
+        Some(w as u64 * 64 + 63 - u64::from(self.words[w].leading_zeros()))
+    }
+
+    /// Set indices in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::successors(self.next_at_or_above(0), |&i| self.next_at_or_above(i + 1))
+    }
+}
+
 /// The buddy allocator over a flat physical frame space `0..nr_frames`.
 ///
 /// ```
@@ -77,8 +190,8 @@ impl FreeListHistogram {
 #[derive(Clone, Debug)]
 pub struct BuddyAllocator {
     nr_frames: u64,
-    /// `free_lists[order]` holds the start PFNs of free aligned blocks.
-    free_lists: Vec<BTreeSet<u64>>,
+    /// `free_lists[order]` marks the free aligned blocks of that order.
+    free_lists: Vec<BlockBitmap>,
     free_frames: u64,
 }
 
@@ -89,13 +202,18 @@ impl BuddyAllocator {
     /// Panics if `nr_frames` is zero.
     pub fn new(nr_frames: u64) -> Self {
         assert!(nr_frames > 0, "physical memory must be non-empty");
-        let mut buddy = Self {
-            nr_frames,
-            free_lists: vec![BTreeSet::new(); (MAX_ORDER + 1) as usize],
-            free_frames: 0,
-        };
+        let mut buddy = Self::empty(nr_frames);
         buddy.free_range_raw(0, nr_frames);
         buddy
+    }
+
+    /// An allocator over `nr_frames` frames with nothing free.
+    fn empty(nr_frames: u64) -> Self {
+        Self {
+            nr_frames,
+            free_lists: (0..=MAX_ORDER).map(|o| BlockBitmap::new(nr_frames >> o)).collect(),
+            free_frames: 0,
+        }
     }
 
     /// Total number of frames managed (free + allocated).
@@ -111,13 +229,13 @@ impl BuddyAllocator {
     /// Per-order counts of free blocks.
     pub fn histogram(&self) -> FreeListHistogram {
         FreeListHistogram {
-            counts: self.free_lists.iter().map(BTreeSet::len).collect(),
+            counts: self.free_lists.iter().map(|l| l.len).collect(),
         }
     }
 
     /// The largest order with at least one free block, if any memory is free.
     pub fn largest_free_order(&self) -> Option<u32> {
-        (0..=MAX_ORDER).rev().find(|&o| !self.free_lists[o as usize].is_empty())
+        (0..=MAX_ORDER).rev().find(|&o| self.free_lists[o as usize].len > 0)
     }
 
     /// An unusability/fragmentation score in `[0, 1]`: 0 when the largest
@@ -144,7 +262,7 @@ impl BuddyAllocator {
         let small: u64 = self.free_lists[..(order.min(MAX_ORDER + 1)) as usize]
             .iter()
             .enumerate()
-            .map(|(o, l)| (l.len() as u64) << o)
+            .map(|(o, l)| (l.len as u64) << o)
             .sum();
         small as f64 / self.free_frames as f64
     }
@@ -156,16 +274,18 @@ impl BuddyAllocator {
         if order > MAX_ORDER {
             return None;
         }
-        let found = (order..=MAX_ORDER).find(|&o| !self.free_lists[o as usize].is_empty())?;
-        let start = *self.free_lists[found as usize].iter().next().expect("non-empty list");
-        self.free_lists[found as usize].remove(&start);
+        let found = (order..=MAX_ORDER).find(|&o| self.free_lists[o as usize].len > 0)?;
+        let list = &mut self.free_lists[found as usize];
+        let index = list.next_at_or_above(0).expect("non-empty list");
+        list.remove(index);
+        let start = index << found;
         // Iteratively halve: keep the lower half, return the upper half to
         // its free list, until the block is the requested size.
         let mut cur = found;
         while cur > order {
             cur -= 1;
             let upper = start + (1u64 << cur);
-            self.free_lists[cur as usize].insert(upper);
+            self.free_lists[cur as usize].insert(upper >> cur);
         }
         self.free_frames -= 1u64 << order;
         Some(Pfn::new(start))
@@ -219,13 +339,13 @@ impl BuddyAllocator {
             if buddy + (1u64 << order) > self.nr_frames {
                 break;
             }
-            if !self.free_lists[order as usize].remove(&buddy) {
+            if !self.free_lists[order as usize].remove(buddy >> order) {
                 break;
             }
             start = start.min(buddy);
             order += 1;
         }
-        self.free_lists[order as usize].insert(start);
+        self.free_lists[order as usize].insert(start >> order);
         self.free_frames += freed_pages;
     }
 
@@ -248,22 +368,14 @@ impl BuddyAllocator {
 
     /// True when the single frame `pfn` is currently free.
     pub fn is_free(&self, pfn: Pfn) -> bool {
-        self.frame_is_free(pfn.raw())
-    }
-
-    fn frame_is_free(&self, pfn: u64) -> bool {
-        self.containing_free_block(pfn).is_some()
+        self.containing_free_block(pfn.raw()).is_some()
     }
 
     /// Finds the free block `(start, order)` containing `pfn`, if any.
     fn containing_free_block(&self, pfn: u64) -> Option<(u64, u32)> {
-        for order in 0..=MAX_ORDER {
-            let aligned = pfn & !((1u64 << order) - 1);
-            if self.free_lists[order as usize].contains(&aligned) {
-                return Some((aligned, order));
-            }
-        }
-        None
+        (0..=MAX_ORDER)
+            .find(|&o| self.free_lists[o as usize].contains(pfn >> o))
+            .map(|o| (pfn & !((1u64 << o) - 1), o))
     }
 
     /// Removes one specific free frame from the free lists (used by the
@@ -275,7 +387,7 @@ impl BuddyAllocator {
         let Some((start, order)) = self.containing_free_block(pfn.raw()) else {
             return false;
         };
-        self.free_lists[order as usize].remove(&start);
+        self.free_lists[order as usize].remove(start >> order);
         self.free_frames -= 1u64 << order;
         let before = pfn.raw() - start;
         let after = start + (1u64 << order) - pfn.raw() - 1;
@@ -291,15 +403,7 @@ impl BuddyAllocator {
     /// Highest-numbered free frame, if any (compaction's free scanner
     /// starts at the top of physical memory, paper Figure 3).
     pub fn highest_free_page(&self) -> Option<Pfn> {
-        (0..=MAX_ORDER)
-            .filter_map(|o| {
-                self.free_lists[o as usize]
-                    .iter()
-                    .next_back()
-                    .map(|&s| s + (1u64 << o) - 1)
-            })
-            .max()
-            .map(Pfn::new)
+        self.highest_free_page_below(Pfn::new(self.nr_frames))
     }
 
     /// Highest-numbered free frame strictly below `limit`, if any.
@@ -310,9 +414,8 @@ impl BuddyAllocator {
                 let size = 1u64 << o;
                 // The candidate block must start below `limit`.
                 self.free_lists[o as usize]
-                    .range(..limit)
-                    .next_back()
-                    .map(|&s| (s + size - 1).min(limit - 1))
+                    .last_below(limit.div_ceil(size))
+                    .map(|i| ((i << o) + size - 1).min(limit - 1))
             })
             .max()
             .map(Pfn::new)
@@ -322,10 +425,11 @@ impl BuddyAllocator {
     pub fn check_invariants(&self) {
         let mut seen = vec![false; self.nr_frames as usize];
         let mut counted = 0u64;
-        for order in 0..=MAX_ORDER {
-            for &start in &self.free_lists[order as usize] {
+        for (order, list) in self.free_lists.iter().enumerate() {
+            assert_eq!(list.iter().count(), list.len, "order {order} count drifted");
+            for index in list.iter() {
                 let size = 1u64 << order;
-                assert_eq!(start % size, 0, "block {start:#x} misaligned for order {order}");
+                let start = index << order;
                 assert!(start + size <= self.nr_frames, "block beyond memory end");
                 for p in start..start + size {
                     assert!(!seen[p as usize], "frame {p:#x} in two free blocks");
@@ -339,23 +443,63 @@ impl BuddyAllocator {
 }
 
 impl Snapshot for BuddyAllocator {
+    /// The free lists encode as a list count, then per order a length
+    /// and the block starts in ascending order.
     fn encode(&self, enc: &mut Enc) {
         enc.u64(self.nr_frames);
-        self.free_lists.encode(enc);
+        enc.usize(self.free_lists.len());
+        for (order, list) in self.free_lists.iter().enumerate() {
+            enc.usize(list.len);
+            for index in list.iter() {
+                enc.u64(index << order);
+            }
+        }
         enc.u64(self.free_frames);
     }
 
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         let nr_frames = dec.u64()?;
-        let free_lists = Vec::<BTreeSet<u64>>::decode(dec)?;
-        let free_frames = dec.u64()?;
-        if nr_frames == 0 || free_lists.len() != (MAX_ORDER + 1) as usize {
+        let lists = dec.len("buddy free lists")?;
+        if nr_frames == 0 || nr_frames > MAX_DECODE_FRAMES || lists != (MAX_ORDER + 1) as usize {
             return Err(SnapshotError(format!(
-                "buddy allocator shape invalid: {nr_frames} frames, {} free lists",
-                free_lists.len()
+                "buddy allocator shape invalid: {nr_frames} frames, {lists} free lists"
             )));
         }
-        Ok(Self { nr_frames, free_lists, free_frames })
+        let mut buddy = Self::empty(nr_frames);
+        let mut listed = 0u64;
+        for order in 0..=MAX_ORDER {
+            let size = 1u64 << order;
+            for _ in 0..dec.len("buddy free list")? {
+                let start = dec.u64()?;
+                if start % size != 0 || start.checked_add(size).is_none_or(|end| end > nr_frames) {
+                    return Err(SnapshotError(format!(
+                        "buddy block {start:#x} misaligned or out of range for order {order}"
+                    )));
+                }
+                // Lower orders are already in: any of their blocks inside
+                // this one is an overlap; higher orders check against it.
+                let overlaps = (0..order).any(|o| {
+                    let lower = &buddy.free_lists[o as usize];
+                    lower
+                        .next_at_or_above(start >> o)
+                        .is_some_and(|i| i < (start + size) >> o)
+                });
+                if overlaps || !buddy.free_lists[order as usize].insert(start >> order) {
+                    return Err(SnapshotError(format!(
+                        "buddy block {start:#x} of order {order} duplicates or overlaps another"
+                    )));
+                }
+                listed += size;
+            }
+        }
+        buddy.free_frames = dec.u64()?;
+        if buddy.free_frames != listed {
+            return Err(SnapshotError(format!(
+                "buddy free_frames {} disagrees with {listed} listed frames",
+                buddy.free_frames
+            )));
+        }
+        Ok(buddy)
     }
 }
 

@@ -80,10 +80,6 @@ pub fn compact(
     compact_with(buddy, frames, processes, CompactionControl::default())
 }
 
-/// Pageblock granularity for the migrate scanner's density heuristic
-/// (Linux pageblocks are 512 pages: one 2MB superpage).
-const PAGEBLOCK_PAGES: u64 = 512;
-
 /// The migrate scanner skips pageblocks denser than this: evacuating a
 /// nearly full block costs many migrations and yields little free space,
 /// so real compaction concentrates on sparsely used blocks. This is also
@@ -125,7 +121,7 @@ pub fn compact_logged(
     let mut batch: Vec<Pfn> = Vec::new();
     let mut batch_next = 0usize;
 
-    'outer: loop {
+    loop {
         if let Some(order) = control.target_order {
             if buddy.largest_free_order().is_some_and(|o| o >= order) {
                 break;
@@ -139,21 +135,9 @@ pub fn compact_logged(
         }
         // Migrate scanner: next movable page from the bottom, skipping
         // densely occupied pageblocks.
-        let src = loop {
-            let Some(candidate) = frames.first_movable_at_or_above(migrate_cursor) else {
-                break 'outer;
-            };
-            let block_start = candidate.align_down(9);
-            let block_end = block_start.raw() + PAGEBLOCK_PAGES;
-            if frames.pageblock_density(candidate) > MIGRATE_DENSITY_LIMIT {
-                // Too dense: skip the whole pageblock.
-                migrate_cursor = Pfn::new(block_end);
-                if migrate_cursor.raw() >= frames.nr_frames() {
-                    break 'outer;
-                }
-                continue;
-            }
-            break candidate;
+        let Some(src) = frames.first_movable_in_sparse_block(migrate_cursor, MIGRATE_DENSITY_LIMIT)
+        else {
+            break;
         };
         // Scanners met: the migrate scanner reached the free scanner's
         // lowest isolated frame.

@@ -78,17 +78,23 @@ pub struct FrameDb {
     /// [`FrameDb::set`]) — O(1) density checks for the compaction
     /// daemon's pageblock heuristic.
     block_occupancy: Vec<u32>,
+    /// Movable frames per pageblock (kept in sync by [`FrameDb::set`]),
+    /// so the migrate scanner skips blocks with nothing to migrate.
+    block_movable: Vec<u32>,
 }
 
-/// Pageblock granularity of the occupancy cache.
-const BLOCK_PAGES: u64 = 512;
+/// Pageblock granularity (Linux pageblocks are 512 pages: one 2MB
+/// superpage) of the per-block counters and the migrate scanner.
+const PAGEBLOCK_PAGES: u64 = 512;
 
 impl FrameDb {
     /// Creates a database with all frames free.
     pub fn new(nr_frames: u64) -> Self {
+        let blocks = nr_frames.div_ceil(PAGEBLOCK_PAGES) as usize;
         Self {
             states: vec![FrameState::Free; nr_frames as usize],
-            block_occupancy: vec![0; nr_frames.div_ceil(BLOCK_PAGES) as usize],
+            block_occupancy: vec![0; blocks],
+            block_movable: vec![0; blocks],
         }
     }
 
@@ -111,10 +117,15 @@ impl FrameDb {
     /// Panics if `pfn` is out of range.
     pub fn set(&mut self, pfn: Pfn, state: FrameState) {
         let old = &mut self.states[pfn.raw() as usize];
-        let block = (pfn.raw() / BLOCK_PAGES) as usize;
+        let block = (pfn.raw() / PAGEBLOCK_PAGES) as usize;
         match (old.is_free(), state.is_free()) {
             (true, false) => self.block_occupancy[block] += 1,
             (false, true) => self.block_occupancy[block] -= 1,
+            _ => {}
+        }
+        match (old.is_movable(), state.is_movable()) {
+            (false, true) => self.block_movable[block] += 1,
+            (true, false) => self.block_movable[block] -= 1,
             _ => {}
         }
         *old = state;
@@ -123,8 +134,12 @@ impl FrameDb {
     /// Fraction of the 512-frame pageblock containing `pfn` that is
     /// occupied (non-free). O(1) via the occupancy cache.
     pub fn pageblock_density(&self, pfn: Pfn) -> f64 {
-        let block = (pfn.raw() / BLOCK_PAGES) as usize;
-        let span = BLOCK_PAGES.min(self.nr_frames() - pfn.raw() / BLOCK_PAGES * BLOCK_PAGES);
+        self.block_density((pfn.raw() / PAGEBLOCK_PAGES) as usize)
+    }
+
+    fn block_density(&self, block: usize) -> f64 {
+        let start = block as u64 * PAGEBLOCK_PAGES;
+        let span = PAGEBLOCK_PAGES.min(self.nr_frames() - start);
         f64::from(self.block_occupancy[block]) / span as f64
     }
 
@@ -143,13 +158,27 @@ impl FrameDb {
         }
     }
 
-    /// Lowest movable frame at or above `from` (the compaction daemon's
-    /// migrate scanner walks up from the bottom of memory).
-    pub fn first_movable_at_or_above(&self, from: Pfn) -> Option<Pfn> {
-        self.states[from.raw() as usize..]
-            .iter()
-            .position(FrameState::is_movable)
-            .map(|off| from.offset(off as u64))
+    /// Lowest movable frame at or above `from` in a pageblock whose
+    /// [`FrameDb::pageblock_density`] is at most `density_limit` — the
+    /// compaction daemon's migrate scanner, which walks up from the
+    /// bottom of memory. Pageblocks that are too dense or hold no movable
+    /// frame are skipped on their counters alone, without reading their
+    /// frames.
+    pub fn first_movable_in_sparse_block(&self, from: Pfn, density_limit: f64) -> Option<Pfn> {
+        let from = from.raw();
+        let first_block = (from / PAGEBLOCK_PAGES) as usize;
+        (first_block..self.block_movable.len()).find_map(|block| {
+            if self.block_movable[block] == 0 || self.block_density(block) > density_limit {
+                return None;
+            }
+            let start = block as u64 * PAGEBLOCK_PAGES;
+            let lo = from.max(start) as usize;
+            let hi = (start + PAGEBLOCK_PAGES).min(self.nr_frames()) as usize;
+            self.states[lo..hi]
+                .iter()
+                .position(FrameState::is_movable)
+                .map(|off| Pfn::new((lo + off) as u64))
+        })
     }
 
     /// Aggregate counts over all frames.
@@ -210,16 +239,18 @@ impl Snapshot for FrameDb {
     }
 
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
-        // The occupancy cache is derived state; rebuild it instead of
-        // trusting (and having to cross-check) a stored copy.
+        // The per-block counters are derived state; rebuild them instead
+        // of trusting (and having to cross-check) a stored copy.
         let states = Vec::<FrameState>::decode(dec)?;
-        let mut block_occupancy = vec![0u32; states.len().div_ceil(BLOCK_PAGES as usize)];
-        for (i, s) in states.iter().enumerate() {
-            if !s.is_free() {
-                block_occupancy[i / BLOCK_PAGES as usize] += 1;
-            }
-        }
-        Ok(Self { states, block_occupancy })
+        let per_block = |counted: fn(&FrameState) -> bool| -> Vec<u32> {
+            states
+                .chunks(PAGEBLOCK_PAGES as usize)
+                .map(|block| block.iter().filter(|s| counted(s)).count() as u32)
+                .collect()
+        };
+        let block_occupancy = per_block(|s| !s.is_free());
+        let block_movable = per_block(FrameState::is_movable);
+        Ok(Self { states, block_occupancy, block_movable })
     }
 }
 
@@ -249,14 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn first_movable_scans_upward() {
-        let mut db = FrameDb::new(32);
-        db.set(Pfn::new(5), FrameState::Movable { owner: Asid(1), vpn: Vpn::new(0) });
-        db.set(Pfn::new(20), FrameState::Movable { owner: Asid(1), vpn: Vpn::new(1) });
-        assert_eq!(db.first_movable_at_or_above(Pfn::new(0)), Some(Pfn::new(5)));
-        assert_eq!(db.first_movable_at_or_above(Pfn::new(5)), Some(Pfn::new(5)));
-        assert_eq!(db.first_movable_at_or_above(Pfn::new(6)), Some(Pfn::new(20)));
-        assert_eq!(db.first_movable_at_or_above(Pfn::new(21)), None);
+    fn sparse_block_scan_skips_dense_and_movable_free_blocks() {
+        // Block 0 is dense (pinned filler), block 1 holds no movable
+        // frame, block 2 is sparse, and the partial last block is sparse.
+        let mut db = FrameDb::new(4 * 512 + 100);
+        let movable = |vpn| FrameState::Movable { owner: Asid(1), vpn: Vpn::new(vpn) };
+        db.set_range(Pfn::new(0), 500, |_| FrameState::Pinned);
+        db.set(Pfn::new(505), movable(0));
+        db.set(Pfn::new(600), FrameState::Pinned);
+        db.set(Pfn::new(1100), movable(1));
+        db.set(Pfn::new(1200), movable(2));
+        db.set(Pfn::new(2060), movable(3));
+        let scan = |from| db.first_movable_in_sparse_block(Pfn::new(from), 0.8);
+        assert_eq!(scan(0), Some(Pfn::new(1100)), "dense block 0 is skipped");
+        assert_eq!(scan(1101), Some(Pfn::new(1200)));
+        assert_eq!(scan(1201), Some(Pfn::new(2060)));
+        assert_eq!(scan(2061), None);
+        assert_eq!(db.first_movable_in_sparse_block(Pfn::new(0), 1.0), Some(Pfn::new(505)));
     }
 
     #[test]

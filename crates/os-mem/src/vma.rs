@@ -10,7 +10,6 @@ use crate::addr::{Vpn, SUPERPAGE_PAGES};
 use crate::error::{MemError, MemResult};
 use crate::page_table::PteFlags;
 use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
-use std::collections::BTreeMap;
 
 /// What backs a virtual memory area.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +61,12 @@ const USER_BASE_VPN: u64 = 0x1000;
 /// ```
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
-    vmas: BTreeMap<u64, Vma>,
+    /// Areas by ascending start. Starts are bump-allocated, so a reserve
+    /// is a push; a removed area stays as a tombstone (`pages == 0`)
+    /// until tombstones exceed a quarter of the live areas.
+    vmas: Vec<Vma>,
+    /// Live (non-tombstone) areas in `vmas`.
+    live: usize,
     next_vpn: u64,
     limit_vpn: u64,
 }
@@ -72,7 +76,8 @@ impl AddressSpace {
     /// of layout (the virtual span, not a physical budget).
     pub fn new(limit_pages: u64) -> Self {
         Self {
-            vmas: BTreeMap::new(),
+            vmas: Vec::new(),
+            live: 0,
             next_vpn: USER_BASE_VPN,
             limit_vpn: USER_BASE_VPN + limit_pages,
         }
@@ -118,7 +123,12 @@ impl AddressSpace {
             return Err(MemError::OutOfVirtualSpace { requested_pages: pages });
         }
         let vma = Vma { start: Vpn::new(start), pages, kind, flags };
-        self.vmas.insert(start, vma);
+        debug_assert!(
+            self.vmas.last().is_none_or(|last| last.start < vma.start),
+            "bump-allocated starts must increase"
+        );
+        self.vmas.push(vma);
+        self.live += 1;
         // Leave a one-page guard gap between areas: distinct mappings are
         // not virtually adjacent in practice, so contiguity runs cannot
         // span separate allocations.
@@ -131,38 +141,58 @@ impl AddressSpace {
     /// # Errors
     /// [`MemError::NotAllocationStart`] when no area starts there.
     pub fn remove(&mut self, start: Vpn) -> MemResult<Vma> {
-        self.vmas
-            .remove(&start.raw())
-            .ok_or(MemError::NotAllocationStart { vpn: start })
+        let slot = self
+            .vmas
+            .binary_search_by_key(&start, |v| v.start)
+            .ok()
+            .filter(|&i| self.vmas[i].pages != 0)
+            .ok_or(MemError::NotAllocationStart { vpn: start })?;
+        let vma = self.vmas[slot];
+        self.vmas[slot].pages = 0;
+        self.live -= 1;
+        // A purge costs one pass, paid for by the quarter of the live
+        // count in removes before it. A table that has shrunk to under
+        // half its capacity moves to an exact-size allocation and frees
+        // the old one whole: prepared workloads stay cached for a whole
+        // sweep, so slack here is resident memory.
+        if 4 * (self.vmas.len() - self.live) > self.live {
+            if self.vmas.capacity() > 2 * self.live {
+                self.vmas = self.iter().copied().collect();
+            } else {
+                self.vmas.retain(|v| v.pages != 0);
+            }
+        }
+        Ok(vma)
     }
 
-    /// The area containing `vpn`, if any.
+    /// The area containing `vpn`, if any. A tombstone contains nothing,
+    /// and the live area before it ends at or before its start.
     pub fn find(&self, vpn: Vpn) -> Option<&Vma> {
-        self.vmas
-            .range(..=vpn.raw())
-            .next_back()
-            .map(|(_, v)| v)
+        let after = self.vmas.partition_point(|v| v.start <= vpn);
+        after
+            .checked_sub(1)
+            .map(|i| &self.vmas[i])
             .filter(|v| v.contains(vpn))
     }
 
     /// Iterates areas in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
+        self.vmas.iter().filter(|v| v.pages != 0)
     }
 
     /// Number of areas.
     pub fn len(&self) -> usize {
-        self.vmas.len()
+        self.live
     }
 
     /// True when no areas exist.
     pub fn is_empty(&self) -> bool {
-        self.vmas.is_empty()
+        self.live == 0
     }
 
-    /// Total mapped layout size in pages.
+    /// Total mapped layout size in pages (tombstones add zero).
     pub fn total_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.pages).sum()
+        self.vmas.iter().map(|v| v.pages).sum()
     }
 }
 
@@ -202,18 +232,43 @@ impl Snapshot for Vma {
 }
 
 impl Snapshot for AddressSpace {
+    /// Live areas encode as a map from start to area: a count, then per
+    /// area its start and the area itself, ascending.
     fn encode(&self, enc: &mut Enc) {
-        self.vmas.encode(enc);
+        enc.usize(self.live);
+        for vma in self.iter() {
+            enc.u64(vma.start.raw());
+            vma.encode(enc);
+        }
         enc.u64(self.next_vpn);
         enc.u64(self.limit_vpn);
     }
 
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            vmas: BTreeMap::decode(dec)?,
-            next_vpn: dec.u64()?,
-            limit_vpn: dec.u64()?,
-        })
+        let n = dec.len("AddressSpace areas")?;
+        let mut vmas: Vec<Vma> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = dec.u64()?;
+            let vma = Vma::decode(dec)?;
+            let end = vma.start.raw().checked_add(vma.pages);
+            let after_prev = vmas.last().is_none_or(|prev| prev.end() <= vma.start);
+            if key != vma.start.raw() || vma.pages == 0 || end.is_none() || !after_prev {
+                return Err(SnapshotError(format!(
+                    "area keyed {key:#x} at {:#x} (+{} pages) is mis-keyed, empty, out of order or overlapping",
+                    vma.start.raw(),
+                    vma.pages
+                )));
+            }
+            vmas.push(vma);
+        }
+        let next_vpn = dec.u64()?;
+        let limit_vpn = dec.u64()?;
+        if vmas.last().is_some_and(|last| last.end().raw() > next_vpn) {
+            return Err(SnapshotError(format!(
+                "area ends beyond the next free virtual page {next_vpn:#x}"
+            )));
+        }
+        Ok(Self { live: vmas.len(), vmas, next_vpn, limit_vpn })
     }
 }
 

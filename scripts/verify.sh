@@ -45,8 +45,10 @@ BASELINE=results/BENCH_sweep.json
 echo "== cargo build --release (offline) =="
 cargo build --release
 
+# --no-fail-fast runs every test binary even after one goes red, so a
+# single failure does not hide the rest; the stage still fails on any.
 echo "== cargo test =="
-cargo test -q
+cargo test -q --no-fail-fast
 
 # Seed-0 digest gate: one short perfbench run per workload. At seed 0
 # perfbench compares the digest of every simulated statistic (and, for
