@@ -25,6 +25,7 @@ use crate::experiments::policy::PolicyReport;
 use crate::experiments::pressure::PressureReport;
 use crate::experiments::smp::SmpRow;
 use crate::runner::CellMetric;
+use crate::vfs::{acct, Vfs};
 use colt_os_mem::faults::FaultConfig;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -230,27 +231,26 @@ pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     }
 }
 
-/// If `path` exists but does not parse as JSON, moves it to
+/// If `path` exists but does not parse as JSON, moves it (on `disk`) to
 /// `<path>.corrupt-<n>` and returns the quarantine path. A healthy or
 /// absent file returns `Ok(None)`.
-pub fn quarantine_if_corrupt(path: &Path) -> io::Result<Option<PathBuf>> {
+pub fn quarantine_if_corrupt(disk: &dyn Vfs, path: &Path) -> io::Result<Option<PathBuf>> {
     if !path.exists() {
         return Ok(None);
     }
-    let fs = crate::vfs::active();
-    let text = match fs.read(path) {
+    let text = match disk.read(path) {
         Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
         Err(e) => {
-            let _ = crate::io_faults::account("artifact", &e);
+            let _ = disk.account("artifact", &e);
             String::new() // unreadable == corrupt
         }
     };
     if validate_json(&text).is_ok() {
         return Ok(None);
     }
-    let _ = crate::io_faults::confirm_flip(path);
+    let _ = disk.confirm_flip(path);
     let dest = quarantine_path(path);
-    crate::vfs::acct("artifact", fs.rename(path, &dest))?;
+    acct(disk, "artifact", disk.rename(path, &dest))?;
     Ok(Some(dest))
 }
 
@@ -321,8 +321,8 @@ pub fn sweep_tmp_litter(dir: &Path) -> Vec<PathBuf> {
 /// the caller turns into a nonzero exit.
 const WRITE_ATTEMPTS: u32 = 3;
 
-/// Atomically writes `json` to `path` (temp file + fsync + rename +
-/// directory fsync), then reads it back and re-validates. Transient
+/// Atomically writes `json` to `path` on `disk` (temp file + fsync +
+/// rename + directory fsync), then reads it back and re-validates. Transient
 /// failures (ENOSPC, torn writes) are retried with backoff; the temp
 /// file is removed after every failed attempt, so a torn `BENCH_*` is
 /// never left behind under any interleaving — the target either keeps
@@ -330,7 +330,7 @@ const WRITE_ATTEMPTS: u32 = 3;
 /// Returns the display path. A persistent failure — including an
 /// unparseable read-back — is an error the caller must surface as a
 /// nonzero exit.
-pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
+pub fn atomic_write_json(disk: &dyn Vfs, path: &Path, json: &str) -> io::Result<String> {
     validate_json(json).map_err(|e| {
         io::Error::new(io::ErrorKind::InvalidData, format!("refusing to write invalid JSON: {e}"))
     })?;
@@ -340,7 +340,7 @@ pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
         if attempt > 0 {
             std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
         }
-        match atomic_write_attempt(path, dir, json) {
+        match atomic_write_attempt(disk, path, dir, json) {
             Ok(()) => return Ok(path.display().to_string()),
             Err(e) => last = Some(e),
         }
@@ -350,32 +350,30 @@ pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
 
 /// One attempt of the atomic-write protocol. Every `Vfs` error is
 /// accounted here, at the site that first observes it (see
-/// `io_faults::account`).
-fn atomic_write_attempt(path: &Path, dir: &Path, json: &str) -> io::Result<()> {
-    use crate::vfs::acct;
-    let fs = crate::vfs::active();
-    acct("artifact", fs.create_dir_all(dir))?;
+/// [`Vfs::account`]).
+fn atomic_write_attempt(disk: &dyn Vfs, path: &Path, dir: &Path, json: &str) -> io::Result<()> {
+    acct(disk, "artifact", disk.create_dir_all(dir))?;
     let tmp = unique_tmp(path);
     let written = (|| {
-        let mut f = acct("artifact", fs.create(&tmp))?;
-        acct("artifact", f.write_all(json.as_bytes()))?;
-        acct("artifact", f.flush())?;
-        acct("artifact", f.sync_data())?;
-        acct("artifact", fs.rename(&tmp, path))
+        let mut f = acct(disk, "artifact", disk.create(&tmp))?;
+        acct(disk, "artifact", f.write_all(json.as_bytes()))?;
+        acct(disk, "artifact", f.flush())?;
+        acct(disk, "artifact", f.sync_data())?;
+        acct(disk, "artifact", disk.rename(&tmp, path))
     })();
     if let Err(e) = written {
         // Clean up the torn tmp. A dead (post-cut) disk can refuse even
         // this, which is exactly how startup tmp litter is born; the
         // refusal is still accounted.
-        if let Err(re) = fs.remove_file(&tmp) {
-            let _ = crate::io_faults::account("artifact", &re);
+        if let Err(re) = disk.remove_file(&tmp) {
+            let _ = disk.account("artifact", &re);
         }
         return Err(e);
     }
-    if let Err(e) = fs.sync_dir(dir) {
+    if let Err(e) = disk.sync_dir(dir) {
         // Deliberately ignored (rename durability is best-effort beyond
         // the file fsync) but still accounted.
-        let _ = crate::io_faults::account("artifact", &e);
+        let _ = disk.account("artifact", &e);
     }
     // Read-back verification: the bytes on disk must parse. With a
     // single writer they are this call's own bytes; with concurrent
@@ -384,9 +382,9 @@ fn atomic_write_attempt(path: &Path, dir: &Path, json: &str) -> io::Result<()> {
     // so differing bytes are only an error when they fail to parse or
     // when the mismatch turns out to be read-time corruption (a torn
     // write, a lying disk, a flipped bit).
-    let back_bytes = acct("artifact", fs.read(path))?;
+    let back_bytes = acct(disk, "artifact", disk.read(path))?;
     let back = String::from_utf8_lossy(&back_bytes);
-    if back != json && crate::io_faults::confirm_flip(path) {
+    if back != json && disk.confirm_flip(path) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("read-back of {} differs from the bytes written", path.display()),
@@ -669,6 +667,7 @@ pub fn policy_json(report: &PolicyReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
 
     #[test]
     fn sweep_json_reports_cache_stats_and_amortizes_prep_over_sim_cells() {
@@ -750,17 +749,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_test.json");
 
-        atomic_write_json(&path, "{\"ok\": true}\n").unwrap();
-        assert_eq!(quarantine_if_corrupt(&path).unwrap(), None);
+        atomic_write_json(&RealVfs, &path, "{\"ok\": true}\n").unwrap();
+        assert_eq!(quarantine_if_corrupt(&RealVfs, &path).unwrap(), None);
 
         std::fs::write(&path, "{\"truncated\": ").unwrap();
-        let q = quarantine_if_corrupt(&path).unwrap().expect("must quarantine");
+        let q = quarantine_if_corrupt(&RealVfs, &path).unwrap().expect("must quarantine");
         assert!(q.display().to_string().contains("corrupt-1"));
         assert!(!path.exists(), "corrupt file moved aside, not clobbered");
         assert!(q.exists());
 
         // No temp litter after a successful write.
-        atomic_write_json(&path, "{}\n").unwrap();
+        atomic_write_json(&RealVfs, &path, "{}\n").unwrap();
         let litter: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -788,7 +787,7 @@ mod tests {
             for payload in &payloads {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        atomic_write_json(&path, payload).unwrap();
+                        atomic_write_json(&RealVfs, &path, payload).unwrap();
                     }
                 });
             }
@@ -827,8 +826,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_refuse.json");
-        atomic_write_json(&path, "{\"good\": 1}").unwrap();
-        assert!(atomic_write_json(&path, "{\"bad\": ").is_err());
+        atomic_write_json(&RealVfs, &path, "{\"good\": 1}").unwrap();
+        assert!(atomic_write_json(&RealVfs, &path, "{\"bad\": ").is_err());
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"good\": 1}", "failed write must not damage the old file");
         let _ = std::fs::remove_dir_all(&dir);
@@ -839,9 +838,6 @@ mod tests {
     /// and the startup sweep removes it — no permanent litter.
     #[test]
     fn a_cut_mid_write_leaves_no_permanent_litter() {
-        use colt_os_mem::faults::FaultConfig;
-        let _guard = crate::io_faults::ledger_test_guard();
-        crate::io_faults::reset_ledger();
         let dir = std::env::temp_dir()
             .join(format!("colt-artifact-cutlitter-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -851,10 +847,8 @@ mod tests {
         // after the first fsync, i.e. between fsync and rename.
         let plan = FaultConfig { rate: 0.0, window: 0, seed: 1 };
         let faulty = crate::vfs::FaultyVfs::new(plan).cut_after_syncs(1);
-        crate::vfs::install(std::sync::Arc::new(faulty.clone()));
-        let result = atomic_write_json(&dir.join("BENCH_cut.json"), "{\"cell\": 1}");
+        let result = atomic_write_json(&faulty, &dir.join("BENCH_cut.json"), "{\"cell\": 1}");
         let _ = faulty.power_cut();
-        crate::vfs::reset();
 
         assert!(result.is_err(), "the write died at the cut");
         assert!(

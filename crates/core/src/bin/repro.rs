@@ -44,8 +44,9 @@
 //! backoff before quarantining them.
 //!
 //! `--io-faults SPEC` arms seeded *storage* fault injection for any
-//! run: every durable write/read/fsync/rename goes through the
-//! [`colt_core::vfs`] seam and may fail with ENOSPC, EIO, short writes,
+//! run: the journal, the preparation snapshots and the result files all
+//! write through one faulty [`colt_core::vfs`] disk, where every durable
+//! write/read/fsync/rename may fail with ENOSPC, EIO, short writes,
 //! failed or lying fsyncs, or read-back bit flips — all deterministic
 //! under the seed, all accounted in a ledger printed at exit. Results
 //! are unchanged (the layers degrade, they do not diverge), so the
@@ -70,7 +71,8 @@ use colt_core::artifact;
 use colt_core::journal::Journal;
 use colt_core::report::Table;
 use colt_core::runner::{self, CellMetric};
-use colt_core::snapshot_cache;
+use colt_core::snapshot_cache::{self, SnapshotStore};
+use colt_core::vfs::{FaultyVfs, RealVfs, Vfs};
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::policy::PolicyKind;
 use std::path::Path;
@@ -191,9 +193,9 @@ fn report_quarantined() {
 /// error kind the seam injected next to what the degradation sites
 /// accounted, plus the flip-detection tallies. The two columns must
 /// match: every injected fault is handled somewhere.
-fn print_io_fault_ledger(faulty: &colt_core::vfs::FaultyVfs) {
+fn print_io_fault_ledger(faulty: &FaultyVfs) {
     let counts = faulty.counts();
-    let ledger = colt_core::io_faults::ledger();
+    let ledger = faulty.ledger();
     eprintln!(
         "io-faults ledger: {} injected ({} errors, {} bit flips, {} lying fsyncs), \
          {} accounted",
@@ -238,9 +240,6 @@ fn clamp_flag(flag: &str, n: u64) -> u64 {
 }
 
 fn main() -> ExitCode {
-    // The CLI wants preparation snapshots to survive the process (the
-    // library default is memory-only, keeping test binaries hermetic).
-    snapshot_cache::set_disk_persistence(true);
     // The torture subcommand owns its argument list entirely.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("torture") {
@@ -347,21 +346,23 @@ fn main() -> ExitCode {
         }
     }
     let faulty_vfs = io_faults.map(|fc| {
-        // Armed for the whole process: every durable write, read,
-        // fsync, and rename below flows through the seam. The spec is
-        // deliberately NOT part of the resume fingerprint — injected
-        // storage faults never change results, only durability. The
-        // clone shares state with the installed seam, so the exit
-        // ledger reads live counts.
-        colt_core::io_faults::reset_ledger();
-        let faulty = colt_core::vfs::FaultyVfs::new(fc);
-        colt_core::vfs::install(Arc::new(faulty.clone()));
+        // Armed for the whole run: every durable write, read, fsync,
+        // and rename below goes to this disk. The spec is deliberately
+        // NOT part of the resume fingerprint — injected storage faults
+        // never change results, only durability. The clone shares
+        // state with the disk handed out below, so the exit ledger
+        // reads live counts.
+        let faulty = FaultyVfs::new(fc);
         eprintln!(
             "io-faults armed: rate {}, window {}, seed {}",
             fc.rate, fc.window, fc.seed
         );
         faulty
     });
+    let disk: Arc<dyn Vfs> = match &faulty_vfs {
+        Some(faulty) => Arc::new(faulty.clone()),
+        None => Arc::new(RealVfs),
+    };
     if check {
         // `repro pressure --check` = the oracle under fault injection
         // (default plan when --faults was not given). Any other
@@ -422,7 +423,7 @@ fn main() -> ExitCode {
         "BENCH_policy.json",
     ] {
         let path = Path::new("results").join(name);
-        match artifact::quarantine_if_corrupt(&path) {
+        match artifact::quarantine_if_corrupt(&*disk, &path) {
             Ok(Some(q)) => eprintln!(
                 "warning: existing {} is not valid JSON (likely a crashed run); \
                  quarantined to {}",
@@ -434,6 +435,12 @@ fn main() -> ExitCode {
         }
     }
 
+    // Preparation snapshots persist across invocations, on the same disk
+    // as everything else (the library default is memory-only, keeping
+    // test binaries hermetic).
+    if snapshot_cache::enabled() {
+        opts.snapshots = SnapshotStore::from_env(Arc::clone(&disk)).map(Arc::new);
+    }
     let _ = runner::take_metrics();
     let _ = snapshot_cache::take_stats();
     let wall_start = Instant::now();
@@ -445,7 +452,7 @@ fn main() -> ExitCode {
         // Each experiment gets its own durable journal; completed cells
         // are fsynced as they finish, and --resume replays them here.
         let mut opts = opts.clone();
-        match Journal::open(&journal_dir, exp, opts.fingerprint(exp), resume) {
+        match Journal::open(Arc::clone(&disk), &journal_dir, exp, opts.fingerprint(exp), resume) {
             Ok(journal) => {
                 let r = journal.open_report();
                 if resume && r.replayed == 0 && r.fingerprint_mismatches > 0 {
@@ -524,7 +531,7 @@ fn main() -> ExitCode {
     let mut write_failed = false;
     let mut write_result = |path: &str, json: &str, what: &str| {
         let _ = std::fs::create_dir_all("results");
-        match artifact::atomic_write_json(Path::new(path), json) {
+        match artifact::atomic_write_json(&*disk, Path::new(path), json) {
             Ok(written) => {
                 if !csv {
                     println!("{what} written to {written}");

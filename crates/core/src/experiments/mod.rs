@@ -49,6 +49,7 @@ pub mod virtualization;
 use crate::journal::Journal;
 use crate::report::Table;
 use crate::runner::SweepOptions;
+use crate::snapshot_cache::SnapshotStore;
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::policy::PolicyKind;
 use colt_workloads::spec::{all_benchmarks, BenchmarkSpec};
@@ -87,6 +88,10 @@ pub struct ExperimentOptions {
     /// historical headline tables byte-identically; the `policy`
     /// experiment sweeps all shipped policies regardless of this value.
     pub policy: PolicyKind,
+    /// Where preparation snapshots persist (`repro` builds one store
+    /// for the whole run). `None` keeps the preparation cache
+    /// memory-only.
+    pub snapshots: Option<Arc<SnapshotStore>>,
 }
 
 impl Default for ExperimentOptions {
@@ -101,6 +106,7 @@ impl Default for ExperimentOptions {
             retries: 1,
             journal: None,
             policy: PolicyKind::Default,
+            snapshots: None,
         }
     }
 }
@@ -162,6 +168,7 @@ impl ExperimentOptions {
             retries: self.retries,
             hard_deadline: None,
             journal: self.journal.as_deref(),
+            snapshots: self.snapshots.as_deref(),
         }
     }
 

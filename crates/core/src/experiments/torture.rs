@@ -9,7 +9,8 @@
 //!
 //! 1. **Doomed run** — a [`FaultyVfs`](crate::vfs::FaultyVfs) with the
 //!    cycle's fault plan armed and a dead-disk point `k` fsyncs in is
-//!    installed; the pressure sweep runs to completion under ENOSPC,
+//!    handed to the journal, the snapshot store and the artifact
+//!    writer; the pressure sweep runs to completion under ENOSPC,
 //!    EIO, short writes, failed and lying fsyncs, dropped renames, and
 //!    read-back bit flips, storing its preparation snapshots as it
 //!    goes, then the artifact write lands (or degrades) on the dying
@@ -22,8 +23,8 @@
 //!    re-open *cold, still under faults*, exercising the read-side
 //!    detection paths (CRC quarantine, checksum verdicts, flip
 //!    confirmation).
-//! 4. **Verdicts** — the seam is uninstalled and five gates are
-//!    checked with evidence: zero panics; no corrupt bytes ever
+//! 4. **Verdicts** — back on the real disk, five gates are checked
+//!    with evidence: zero panics; no corrupt bytes ever
 //!    accepted (every detected corruption quarantined, no pending
 //!    undetected flips, no torn `BENCH_*` or permanent tmp litter);
 //!    `--resume` byte-identity against an unfaulted reference run; warm
@@ -37,10 +38,10 @@
 
 use crate::artifact;
 use crate::experiments::{pressure, ExperimentOptions};
-use crate::io_faults::{self, IoFaultCounts, LedgerSnapshot};
+use crate::io_faults::{IoFaultCounts, LedgerSnapshot};
 use crate::journal::Journal;
-use crate::snapshot_cache;
-use crate::vfs::{self, FaultyVfs};
+use crate::snapshot_cache::{self, SnapshotStore};
+use crate::vfs::{FaultyVfs, RealVfs, Vfs};
 use colt_os_mem::faults::FaultConfig;
 use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::BenchmarkSpec;
@@ -159,13 +160,16 @@ impl FreshPrep {
 /// The experiment options both the reference and every cycle use. One
 /// benchmark, one core, one worker: the fault stream stays aligned with
 /// the schedule and the sweep itself is deterministic either way.
-fn payload_opts(cfg: &TortureConfig) -> ExperimentOptions {
+/// Preparation snapshots persist to `snap_dir` on `disk` (a directory
+/// that cannot be created leaves the run memory-only).
+fn payload_opts(cfg: &TortureConfig, snap_dir: &Path, disk: &Arc<dyn Vfs>) -> ExperimentOptions {
     ExperimentOptions {
         accesses: cfg.accesses.max(1),
         benchmarks: Some(vec![cfg.bench.clone()]),
         jobs: 1,
         cores: 1,
         retries: 1,
+        snapshots: SnapshotStore::open(snap_dir, Arc::clone(disk)).ok().map(Arc::new),
         ..ExperimentOptions::default()
     }
 }
@@ -189,24 +193,26 @@ fn run_cycle(
     let snap_dir = cyc.join("snapshots");
     let bench_path = cyc.join("BENCH_pressure.json");
 
-    // Phase 1: the doomed run, everything through the faulty seam.
-    io_faults::reset_ledger();
-    snapshot_cache::set_dir_override(Some(snap_dir.clone()));
+    // Phase 1: the doomed run, everything on the faulty disk.
     snapshot_cache::clear_memory();
     let faulty = FaultyVfs::new(plan).cut_after_syncs(cut_after);
-    vfs::install(Arc::new(faulty.clone()));
-    let opts = payload_opts(cfg);
+    let disk: Arc<dyn Vfs> = Arc::new(faulty.clone());
+    let opts = payload_opts(cfg, &snap_dir, &disk);
     let doomed = catch_unwind(AssertUnwindSafe(|| {
         let mut opts = opts.clone();
         // A journal-open failure is a degraded (journal-less) run, not
         // a dead one — exactly what `repro` does.
-        if let Ok(j) =
-            Journal::open(&journal_dir, "pressure", opts.fingerprint("pressure"), false)
-        {
+        if let Ok(j) = Journal::open(
+            Arc::clone(&disk),
+            &journal_dir,
+            "pressure",
+            opts.fingerprint("pressure"),
+            false,
+        ) {
             opts.journal = Some(Arc::new(j));
         }
         let (report, _) = pressure::run(&opts);
-        let _ = artifact::atomic_write_json(&bench_path, &payload_json(&report));
+        let _ = artifact::atomic_write_json(&*disk, &bench_path, &payload_json(&report));
     }));
     out.panicked = doomed.is_err();
 
@@ -219,22 +225,22 @@ fn run_cycle(
     // confirmation) while injection is still live.
     let audit = catch_unwind(AssertUnwindSafe(|| {
         let _ = Journal::open(
+            Arc::clone(&disk),
             &journal_dir,
             "pressure",
             opts.fingerprint("pressure"),
             true,
         );
         for prep in fresh {
-            let _ = snapshot_cache::load_from(&snap_dir, &prep.key, &prep.spec);
+            let _ = snapshot_cache::load_from(&*disk, &snap_dir, &prep.key, &prep.spec);
         }
     }));
     out.panicked |= audit.is_err();
 
-    // The ledger is judged against what THIS cycle's seam injected.
+    // The ledger is judged against what THIS cycle's disk injected.
     out.injected = faulty.counts();
-    out.ledger = io_faults::ledger();
+    out.ledger = faulty.ledger();
     out.renames_dropped = faulty.renames_dropped();
-    vfs::reset();
 
     // Phase 4 (clean disk from here): startup hygiene — litter swept,
     // quarantines counted as detection evidence.
@@ -246,7 +252,7 @@ fn run_cycle(
 
     // A surviving BENCH artifact must be whole; a torn one must have
     // been quarantined, never left in place.
-    match artifact::quarantine_if_corrupt(&bench_path) {
+    match artifact::quarantine_if_corrupt(&RealVfs, &bench_path) {
         Ok(Some(_)) => out.bench_artifact_quarantined = true,
         Ok(None) => {
             out.bench_artifact = std::fs::read_to_string(&bench_path).ok();
@@ -257,8 +263,10 @@ fn run_cycle(
     // Phase 5: recovery — `--resume` semantics on a healthy disk must
     // reproduce the unfaulted reference byte-for-byte.
     snapshot_cache::clear_memory();
-    let mut rec_opts = payload_opts(cfg);
+    let real: Arc<dyn Vfs> = Arc::new(RealVfs);
+    let mut rec_opts = payload_opts(cfg, &snap_dir, &real);
     if let Ok(j) = Journal::open(
+        real,
         &journal_dir,
         "pressure",
         rec_opts.fingerprint("pressure"),
@@ -281,7 +289,7 @@ fn reload_snapshots(snap_dir: &Path, fresh: &[FreshPrep], out: &mut CycleOutcome
             continue;
         }
         out.snapshots_survived += 1;
-        match snapshot_cache::load_from(snap_dir, &prep.key, &prep.spec) {
+        match snapshot_cache::load_from(&RealVfs, snap_dir, &prep.key, &prep.spec) {
             Some(w) => match prep.body() {
                 Ok(body) if snapshot_cache::snapshot_body(&prep.key, &w) == body => {
                     out.warm_loaded += 1;
@@ -488,35 +496,24 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch)
         .map_err(|e| format!("create {}: {e}", scratch.display()))?;
-    // Snapshots must hit disk for the snapshot leg to be tortured at
-    // all (the library default is memory-only). Restored on every exit
-    // path: leaking `true` would make unrelated tests in the same
-    // process write snapshots into their working directory.
-    struct DiskPersistenceGuard(bool);
-    impl Drop for DiskPersistenceGuard {
-        fn drop(&mut self) {
-            snapshot_cache::set_disk_persistence(self.0);
-        }
-    }
-    let _disk_guard = DiskPersistenceGuard(snapshot_cache::disk_persistence());
-    snapshot_cache::set_disk_persistence(true);
     let wall_start = Instant::now();
 
     // The unfaulted reference: the byte-identity target for every
-    // cycle's recovery run.
-    vfs::reset();
-    snapshot_cache::set_dir_override(Some(scratch.join("ref-snapshots")));
+    // cycle's recovery run. Every phase persists its preparation
+    // snapshots to a store of its own, so the snapshot leg is tortured
+    // too.
+    let real: Arc<dyn Vfs> = Arc::new(RealVfs);
+    let ref_opts = payload_opts(cfg, &scratch.join("ref-snapshots"), &real);
     snapshot_cache::clear_memory();
-    let (ref_report, _) = pressure::run(&payload_opts(cfg));
+    let (ref_report, _) = pressure::run(&ref_opts);
     if !ref_report.failures.is_empty() {
-        snapshot_cache::set_dir_override(None);
         return Err(format!(
             "reference pressure run failed {} cell(s); cannot torture against it",
             ref_report.failures.len()
         ));
     }
     let ref_json = payload_json(&ref_report);
-    let fresh: Vec<FreshPrep> = pressure::preparations(&payload_opts(cfg))
+    let fresh: Vec<FreshPrep> = pressure::preparations(&ref_opts)
         .into_iter()
         .map(|(_, scenario, spec)| FreshPrep::new(scenario, spec))
         .collect();
@@ -546,13 +543,12 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
             cycles.push((label, outcome));
         }
     }
-    snapshot_cache::set_dir_override(None);
     snapshot_cache::clear_memory();
 
     let verdicts = judge(&cycles, &ref_json);
     let wall_seconds = wall_start.elapsed().as_secs_f64();
     let payload = torture_json(cfg, &cycles, &verdicts, wall_seconds);
-    if let Some(moved) = artifact::quarantine_if_corrupt(&cfg.out)
+    if let Some(moved) = artifact::quarantine_if_corrupt(&RealVfs, &cfg.out)
         .map_err(|e| format!("inspect {}: {e}", cfg.out.display()))?
     {
         eprintln!(
@@ -564,7 +560,7 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
     if let Some(parent) = cfg.out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    artifact::atomic_write_json(&cfg.out, &payload)
+    artifact::atomic_write_json(&RealVfs, &cfg.out, &payload)
         .map_err(|e| format!("write {}: {e}", cfg.out.display()))?;
     let _ = std::fs::remove_dir_all(&scratch);
 
@@ -681,6 +677,7 @@ mod tests {
     /// The warm reload on hand-made survivors: an intact snapshot
     /// loads, one that differs from the fresh preparation is reported
     /// rather than counted as warm, and a torn one is quarantined.
+    #[test]
     fn reload_classifies_intact_foreign_and_torn_snapshots() {
         let dir = std::env::temp_dir()
             .join(format!("colt-torture-reload-{}", std::process::id()));
@@ -699,7 +696,7 @@ mod tests {
         let fresh = [fresh_with(snapshot_cache::snapshot_body(&key, &workload))];
         let path = snapshot_cache::snapshot_path(&dir, &key);
 
-        snapshot_cache::store_to(&dir, &key, &workload).unwrap();
+        snapshot_cache::store_to(&RealVfs, &dir, &key, &workload).unwrap();
         let mut out = CycleOutcome::default();
         reload_snapshots(&dir, &fresh, &mut out);
         assert_eq!((out.snapshots_survived, out.warm_loaded), (1, 1));
@@ -718,14 +715,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One tiny cycle end to end. Serialized with every other test that
-    /// touches the process-global seam or ledger. The hand-made reload
-    /// cases run under the same guard: a second guarded test would
-    /// hold a test thread idle for the whole cycle.
+    /// One tiny cycle end to end, on disks of its own: it runs
+    /// alongside every other test.
     #[test]
     fn one_cycle_torture_passes_all_verdicts() {
-        let _guard = crate::io_faults::ledger_test_guard();
-        reload_classifies_intact_foreign_and_torn_snapshots();
         let cfg = TortureConfig {
             seeds: 1,
             cuts: 1,

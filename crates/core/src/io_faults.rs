@@ -1,36 +1,35 @@
-//! Seeded storage fault injection: the decision plan and the global
-//! fault ledger.
+//! Seeded storage fault injection: the decision plan and the fault
+//! ledger.
 //!
 //! This is the storage counterpart of the memory-pressure faults in
-//! `colt_os_mem::faults`: an [`IoFaultPlan`] is a one-draw-per-decision
-//! seeded stream consulted by [`crate::vfs::FaultyVfs`] at every
-//! failure-prone storage operation — writes (ENOSPC, short/torn
-//! writes), reads (EIO, bit flips), fsyncs (failed and *lying*), and
-//! renames. Every decision consumes exactly one
-//! base draw whether or not it fires, so a plan replays identically for a
-//! given config; fault-kind selection and flip positions use extra draws
-//! only when a decision fires, the same discipline as
-//! `FaultPlan::delivery_fault`.
+//! `colt_os_mem::faults`: an [`IoFaultPlan`] is the same
+//! one-draw-per-decision [`FaultPlan`] on a salted stream, consulted by
+//! [`crate::vfs::FaultyVfs`] at every failure-prone storage operation —
+//! writes (ENOSPC, short/torn writes), reads (EIO, bit flips), fsyncs
+//! (failed and *lying*), and renames. Every decision consumes exactly
+//! one base draw whether or not it fires, so a plan replays identically
+//! for a given config; fault-kind selection and flip positions use
+//! extra draws only when a decision fires.
 //!
-//! The module also owns the process-global **ledger** the torture
-//! harness audits: every injected error carries a `colt-io-fault[...]`
-//! marker in its message, every degradation site that handles a storage
-//! error calls [`account`], and every read-time bit flip is recorded
-//! against its path until a consumer *detects* the corruption and calls
-//! [`confirm_flip`]. The `repro torture` verdict "faults injected ==
-//! faults accounted" is an identity over this ledger: it fails if any
-//! `Vfs` call site swallows an injected error without accounting, or if
-//! any flipped read is accepted without its corruption being noticed.
-//! See DESIGN.md §16.
+//! The module also defines the **ledger** the torture harness audits.
+//! Each `FaultyVfs` owns one: every injected error carries a
+//! `colt-io-fault[...]` marker in its message, every degradation site
+//! that handles a storage error hands it to
+//! [`Vfs::account`](crate::vfs::Vfs::account) on the disk that produced
+//! it, and every read-time bit flip is recorded against its path until
+//! a consumer *detects* the corruption and calls
+//! [`Vfs::confirm_flip`](crate::vfs::Vfs::confirm_flip). On the real
+//! disk both are no-ops: nothing is injected there. The `repro torture`
+//! verdict "faults injected == faults accounted" is an identity over
+//! one disk's ledger: it fails if any `Vfs` call site swallows an
+//! injected error without accounting, or if any flipped read is
+//! accepted without its corruption being noticed. See DESIGN.md §16.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use colt_os_mem::faults::FaultConfig;
-use colt_prng::rngs::SmallRng;
-use colt_prng::{Rng, SeedableRng};
+use colt_os_mem::faults::{FaultConfig, FaultPlan};
 
 /// Marker prefix carried in the message of every injected [`io::Error`];
 /// [`classify`] recognises it, so accounting never counts a *real*
@@ -180,14 +179,11 @@ impl IoFaultCounts {
     }
 }
 
-/// A live, seeded stream of storage-fault decisions. Same draw
-/// discipline as [`colt_os_mem::faults::FaultPlan`]: one base draw per
-/// decision point regardless of outcome, extra draws only on a hit.
+/// A live, seeded stream of storage-fault decisions: a [`FaultPlan`] on
+/// its own salted stream, plus per-kind injection counters.
 #[derive(Clone, Debug)]
 pub struct IoFaultPlan {
-    config: FaultConfig,
-    rng: SmallRng,
-    decisions: u64,
+    plan: FaultPlan,
     counts: IoFaultCounts,
 }
 
@@ -196,21 +192,14 @@ impl IoFaultPlan {
     /// plan built from the same seed.
     pub fn new(config: FaultConfig) -> Self {
         Self {
-            config,
-            rng: SmallRng::seed_from_u64(config.seed ^ 0x10FA_017D_5EED_D15C),
-            decisions: 0,
+            plan: FaultPlan::salted(config, 0x10FA_017D_5EED_D15C),
             counts: IoFaultCounts::default(),
         }
     }
 
-    /// The parameters this plan was built from.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
-
     /// Decision points consumed so far.
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.plan.decisions()
     }
 
     /// Per-kind injection counters so far.
@@ -223,70 +212,55 @@ impl IoFaultPlan {
         self.counts.total()
     }
 
-    fn fire(&mut self) -> bool {
-        let armed = self.config.window == 0
-            || (self.decisions / self.config.window) % 2 == 0;
-        self.decisions += 1;
-        let hit = self.rng.gen_bool(self.config.rate.clamp(0.0, 1.0));
-        armed && hit
+    /// One decision that fired picks between two kinds with an extra
+    /// draw and counts the pick.
+    fn pick(&mut self, even: IoFaultKind, odd: IoFaultKind) -> IoFaultKind {
+        let kind = if self.plan.extra() & 1 == 0 { even } else { odd };
+        self.counts.bump(kind);
+        kind
     }
 
     /// The fate of one write.
     pub fn write_fault(&mut self) -> Option<IoFaultKind> {
-        if !self.fire() {
-            return None;
-        }
-        let kind = if self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::Enospc
-        } else {
-            IoFaultKind::ShortWrite
-        };
-        self.counts.bump(kind);
-        Some(kind)
+        self.plan
+            .fire()
+            .then(|| self.pick(IoFaultKind::Enospc, IoFaultKind::ShortWrite))
     }
 
     /// The fate of one read of `len` bytes. Zero-length reads cannot
-    /// carry a flipped bit, so a hit there downgrades to EIO.
+    /// carry a flipped bit, so a hit there downgrades to EIO without an
+    /// extra draw.
     pub fn read_fault(&mut self, len: usize) -> Option<IoFaultKind> {
-        if !self.fire() {
+        if !self.plan.fire() {
             return None;
         }
-        let kind = if len > 0 && self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::BitFlip
-        } else {
-            IoFaultKind::ReadEio
-        };
-        self.counts.bump(kind);
-        Some(kind)
+        if len == 0 {
+            self.counts.bump(IoFaultKind::ReadEio);
+            return Some(IoFaultKind::ReadEio);
+        }
+        Some(self.pick(IoFaultKind::BitFlip, IoFaultKind::ReadEio))
     }
 
     /// The fate of one fsync (file or directory).
     pub fn sync_fault(&mut self) -> Option<IoFaultKind> {
-        if !self.fire() {
-            return None;
-        }
-        let kind = if self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::SyncFail
-        } else {
-            IoFaultKind::SyncLie
-        };
-        self.counts.bump(kind);
-        Some(kind)
+        self.plan
+            .fire()
+            .then(|| self.pick(IoFaultKind::SyncFail, IoFaultKind::SyncLie))
     }
 
     /// Does this rename fail before taking effect?
     pub fn rename_fault(&mut self) -> bool {
-        if !self.fire() {
-            return false;
+        let hit = self.plan.fire();
+        if hit {
+            self.counts.bump(IoFaultKind::RenameFail);
         }
-        self.counts.bump(IoFaultKind::RenameFail);
-        true
+        hit
     }
 
     /// An extra draw for fault shaping (flip position, torn-write
     /// length). Only call after a hit, so the base stream stays aligned.
     pub fn extra(&mut self) -> u64 {
-        self.rng.next_u64()
+        self.plan.extra()
     }
 
     /// Records a dead-disk refusal (not a draw: every post-cut operation
@@ -296,22 +270,15 @@ impl IoFaultPlan {
     }
 }
 
-/// The global fault ledger: what the degradation sites accounted, per
+/// One faulty disk's ledger: what the degradation sites accounted, per
 /// layer, plus the per-path registry of injected-but-not-yet-detected
 /// read flips.
-#[derive(Default)]
-struct LedgerState {
+#[derive(Default, Debug)]
+pub(crate) struct Ledger {
     accounted: IoFaultCounts,
     by_layer: BTreeMap<&'static str, u64>,
     pending_flips: BTreeMap<PathBuf, u64>,
     flips_detected: u64,
-}
-
-static LEDGER: Mutex<Option<LedgerState>> = Mutex::new(None);
-
-fn with_ledger<T>(f: impl FnOnce(&mut LedgerState) -> T) -> T {
-    let mut guard = LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    f(guard.get_or_insert_with(LedgerState::default))
 }
 
 /// Immutable view of the ledger for reports and verdicts.
@@ -329,68 +296,51 @@ pub struct LedgerSnapshot {
     pub flips_pending: u64,
 }
 
-/// Clears the ledger (torture does this per cycle).
-pub fn reset_ledger() {
-    with_ledger(|l| *l = LedgerState::default());
-}
+impl Ledger {
+    /// Accounts one storage error handled by `layer`. Only injected
+    /// errors (recognised by their marker) are counted; real errors
+    /// return `false` untouched.
+    pub(crate) fn account(&mut self, layer: &'static str, e: &io::Error) -> bool {
+        let Some(kind) = classify(e) else { return false };
+        self.accounted.bump(kind);
+        *self.by_layer.entry(layer).or_insert(0) += 1;
+        true
+    }
 
-/// Accounts one storage error handled by `layer`. Only injected errors
-/// (recognised by their marker) are counted; real errors return `false`
-/// untouched. Call this exactly once per error, at the `Vfs` call site
-/// that first observes it — propagated errors are already accounted by
-/// the module that made the call.
-pub fn account(layer: &'static str, e: &io::Error) -> bool {
-    let Some(kind) = classify(e) else { return false };
-    with_ledger(|l| {
-        l.accounted.bump(kind);
-        *l.by_layer.entry(layer).or_insert(0) += 1;
-    });
-    true
-}
+    /// Registers a read that returned flipped bytes for `path`.
+    pub(crate) fn record_flip(&mut self, path: &Path) {
+        *self.pending_flips.entry(path.to_path_buf()).or_insert(0) += 1;
+    }
 
-/// Registers a read that returned flipped bytes for `path` (called by
-/// `FaultyVfs` at injection time).
-pub fn record_flip(path: &Path) {
-    with_ledger(|l| *l.pending_flips.entry(path.to_path_buf()).or_insert(0) += 1);
-}
-
-/// A consumer noticed that bytes read from `path` are corrupt (CRC
-/// mismatch, invalid framing, read-back inequality). Drains any pending
-/// flips recorded against the path into the detected counter; returns
-/// whether the corruption was an injected flip. A no-op (false) when the
-/// path has no pending flip — genuine torn-tail corruption is not
-/// double-counted.
-pub fn confirm_flip(path: &Path) -> bool {
-    with_ledger(|l| match l.pending_flips.remove(path) {
-        Some(n) => {
-            l.flips_detected += n;
-            true
+    /// Drains any pending flips recorded against `path` into the
+    /// detected counter; returns whether there were any. Genuine
+    /// (non-injected) corruption is not double-counted.
+    pub(crate) fn confirm_flip(&mut self, path: &Path) -> bool {
+        match self.pending_flips.remove(path) {
+            Some(n) => {
+                self.flips_detected += n;
+                true
+            }
+            None => false,
         }
-        None => false,
-    })
-}
+    }
 
-/// Serialises tests that touch the process-global ledger (or install a
-/// process-global `Vfs`); `cargo test` runs modules concurrently.
-#[cfg(test)]
-pub(crate) fn ledger_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Current ledger contents.
-pub fn ledger() -> LedgerSnapshot {
-    with_ledger(|l| LedgerSnapshot {
-        accounted: l.accounted,
-        by_layer: l.by_layer.iter().map(|(k, v)| ((*k).to_string(), *v)).collect(),
-        flips_detected: l.flips_detected,
-        flips_pending: l.pending_flips.values().sum(),
-    })
+    /// Current ledger contents.
+    pub(crate) fn snapshot(&self) -> LedgerSnapshot {
+        LedgerSnapshot {
+            accounted: self.accounted,
+            by_layer: self.by_layer.iter().map(|(k, v)| ((*k).to_string(), *v)).collect(),
+            flips_detected: self.flips_detected,
+            flips_pending: self.pending_flips.values().sum(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_prng::rngs::SmallRng;
+    use colt_prng::{Rng, SeedableRng};
 
     fn cfg(rate: f64, window: u64, seed: u64) -> FaultConfig {
         FaultConfig { rate, window, seed }
@@ -492,31 +442,136 @@ mod tests {
 
     #[test]
     fn ledger_accounts_only_injected_errors() {
-        let _guard = ledger_test_guard();
-        reset_ledger();
+        use crate::vfs::{FaultyVfs, RealVfs, Vfs};
+        let faulty = FaultyVfs::new(cfg(0.0, 0, 1));
         let injected = injected_error(IoFaultKind::Enospc, Path::new("/a"));
         let real = io::Error::new(io::ErrorKind::PermissionDenied, "denied");
-        assert!(account("artifact", &injected));
-        assert!(!account("artifact", &real));
-        let snap = ledger();
+        assert!(faulty.account("artifact", &injected));
+        assert!(!faulty.account("artifact", &real));
+        assert!(!RealVfs.account("artifact", &injected), "the real disk keeps no ledger");
+        let snap = faulty.ledger();
         assert_eq!(snap.accounted.enospc, 1);
         assert_eq!(snap.accounted.errors(), 1);
         assert_eq!(snap.by_layer, vec![("artifact".to_string(), 1)]);
-        reset_ledger();
     }
 
     #[test]
     fn flip_ledger_drains_on_confirmation() {
-        let _guard = ledger_test_guard();
-        reset_ledger();
+        let mut ledger = Ledger::default();
         let p = Path::new("/results/BENCH_x.json");
-        record_flip(p);
-        assert_eq!(ledger().flips_pending, 1);
-        assert!(confirm_flip(p));
-        assert!(!confirm_flip(p), "second confirmation is a no-op");
-        let snap = ledger();
+        ledger.record_flip(p);
+        assert_eq!(ledger.snapshot().flips_pending, 1);
+        assert!(ledger.confirm_flip(p));
+        assert!(!ledger.confirm_flip(p), "second confirmation is a no-op");
+        let snap = ledger.snapshot();
         assert_eq!(snap.flips_pending, 0);
         assert_eq!(snap.flips_detected, 1);
-        reset_ledger();
+    }
+
+    /// The storage plan as it stood before it was rebuilt on
+    /// [`FaultPlan`]: its own window test, rng and decision counter.
+    /// Kept only as the reference the merged plan must replay.
+    struct ModelPlan {
+        config: FaultConfig,
+        rng: SmallRng,
+        decisions: u64,
+        counts: IoFaultCounts,
+    }
+
+    impl ModelPlan {
+        fn new(config: FaultConfig) -> Self {
+            Self {
+                config,
+                rng: SmallRng::seed_from_u64(config.seed ^ 0x10FA_017D_5EED_D15C),
+                decisions: 0,
+                counts: IoFaultCounts::default(),
+            }
+        }
+
+        fn fire(&mut self) -> bool {
+            let armed =
+                self.config.window == 0 || (self.decisions / self.config.window) % 2 == 0;
+            self.decisions += 1;
+            let hit = self.rng.gen_bool(self.config.rate.clamp(0.0, 1.0));
+            armed && hit
+        }
+
+        fn write_fault(&mut self) -> Option<IoFaultKind> {
+            if !self.fire() {
+                return None;
+            }
+            let kind = if self.rng.next_u64() & 1 == 0 {
+                IoFaultKind::Enospc
+            } else {
+                IoFaultKind::ShortWrite
+            };
+            self.counts.bump(kind);
+            Some(kind)
+        }
+
+        fn read_fault(&mut self, len: usize) -> Option<IoFaultKind> {
+            if !self.fire() {
+                return None;
+            }
+            let kind = if len > 0 && self.rng.next_u64() & 1 == 0 {
+                IoFaultKind::BitFlip
+            } else {
+                IoFaultKind::ReadEio
+            };
+            self.counts.bump(kind);
+            Some(kind)
+        }
+
+        fn sync_fault(&mut self) -> Option<IoFaultKind> {
+            if !self.fire() {
+                return None;
+            }
+            let kind = if self.rng.next_u64() & 1 == 0 {
+                IoFaultKind::SyncFail
+            } else {
+                IoFaultKind::SyncLie
+            };
+            self.counts.bump(kind);
+            Some(kind)
+        }
+
+        fn rename_fault(&mut self) -> bool {
+            if !self.fire() {
+                return false;
+            }
+            self.counts.bump(IoFaultKind::RenameFail);
+            true
+        }
+    }
+
+    #[test]
+    fn plan_replays_the_pre_merge_model_exactly() {
+        for rate in [0.0, 0.3, 1.0] {
+            for window in [0, 3] {
+                for seed in [0, 1, 7, 23, 0xC017, u64::MAX] {
+                    let config = cfg(rate, window, seed);
+                    let mut plan = IoFaultPlan::new(config);
+                    let mut model = ModelPlan::new(config);
+                    for i in 0..400u64 {
+                        let at = format!("rate {rate} window {window} seed {seed} op {i}");
+                        match i % 5 {
+                            0 => assert_eq!(plan.write_fault(), model.write_fault(), "{at}"),
+                            1 => assert_eq!(plan.read_fault(64), model.read_fault(64), "{at}"),
+                            2 => assert_eq!(plan.read_fault(0), model.read_fault(0), "{at}"),
+                            3 => assert_eq!(plan.sync_fault(), model.sync_fault(), "{at}"),
+                            _ => assert_eq!(plan.rename_fault(), model.rename_fault(), "{at}"),
+                        }
+                        if i % 37 == 0 && plan.injected() > 0 {
+                            // Shaping draws (flip positions, torn lengths)
+                            // come from the same stream.
+                            assert_eq!(plan.extra(), model.rng.next_u64(), "{at}");
+                        }
+                    }
+                    let at = format!("rate {rate} window {window} seed {seed}");
+                    assert_eq!(plan.counts(), model.counts, "{at}");
+                    assert_eq!(plan.decisions(), model.decisions);
+                }
+            }
+        }
     }
 }

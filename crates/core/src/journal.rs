@@ -45,9 +45,11 @@
 //! of the run is fsynced: the deterministic mid-sweep kill the
 //! crash-recovery smoke stage of `scripts/verify.sh` is built on.
 
+use crate::artifact::quarantine_path;
+use crate::vfs::{acct, Vfs, VfsFile};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Journal record format version. Bump when the record schema or any
 /// payload encoding changes shape; old records are then quarantined
@@ -609,15 +611,15 @@ impl OpenReport {
 }
 
 struct Inner {
-    file: Box<dyn crate::vfs::VfsFile>,
+    file: Box<dyn VfsFile>,
     seq: u64,
     appended: u64,
-    append_retries: u64,
-    append_failures: u64,
 }
 
 /// Append-only, fsync-per-record journal for one experiment's sweep.
 pub struct Journal {
+    /// The disk the journal was opened on; appends go through it.
+    disk: Arc<dyn Vfs>,
     path: PathBuf,
     fingerprint: String,
     replayed: HashMap<String, Replayed>,
@@ -638,18 +640,6 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-/// First free `<path>.corrupt-<n>` sibling.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut n = 1;
-    loop {
-        let candidate = PathBuf::from(format!("{}.corrupt-{n}", path.display()));
-        if !candidate.exists() {
-            return candidate;
-        }
-        n += 1;
-    }
-}
-
 fn parse_crash_after() -> Option<u64> {
     let raw = std::env::var("COLT_CRASH_AFTER_CELLS").ok()?;
     match raw.parse::<u64>() {
@@ -666,7 +656,8 @@ fn parse_crash_after() -> Option<u64> {
 
 impl Journal {
     /// Opens (resume) or starts fresh (non-resume) the journal for
-    /// `experiment` under `dir`, validating every existing line.
+    /// `experiment` under `dir` on `disk`, validating every existing
+    /// line. The journal keeps `disk` for its appends.
     ///
     /// On resume, corrupt/version-bumped lines are quarantined to
     /// `<journal>.corrupt-<n>`, the journal is rewritten with only the
@@ -675,6 +666,7 @@ impl Journal {
     /// (after whole-file quarantine if it contained corruption, so
     /// evidence is never clobbered).
     pub fn open(
+        disk: Arc<dyn Vfs>,
         dir: &Path,
         experiment: &str,
         fingerprint: String,
@@ -686,18 +678,15 @@ impl Journal {
         let mut kept_lines: Vec<String> = Vec::new();
         let mut bad_lines: Vec<String> = Vec::new();
 
-        let fs = crate::vfs::active();
-        crate::vfs::acct("journal", fs.create_dir_all(dir))?;
+        let fs = &*disk;
+        acct(fs, "journal", fs.create_dir_all(dir))?;
         if path.exists() {
             // Lossy decoding on purpose: a bit flip that lands in a
             // UTF-8 continuation byte must surface as a corrupt line
             // (the CRC catches the replacement character), not abort
             // the whole open.
-            let raw = String::from_utf8_lossy(&crate::vfs::acct(
-                "journal",
-                fs.read(&path),
-            )?)
-            .into_owned();
+            let raw = String::from_utf8_lossy(&acct(fs, "journal", fs.read(&path))?)
+                .into_owned();
             for line in raw.lines().filter(|l| !l.trim().is_empty()) {
                 match parse_record(line) {
                     Ok(rec) => {
@@ -767,17 +756,17 @@ impl Journal {
             if !bad_lines.is_empty() {
                 // If this open's read came back bit-flipped, the CRCs
                 // above just detected it.
-                let _ = crate::io_faults::confirm_flip(&path);
+                let _ = fs.confirm_flip(&path);
                 let qpath = quarantine_path(&path);
                 {
-                    let mut qf = crate::vfs::acct("journal", fs.create(&qpath))?;
+                    let mut qf = acct(fs, "journal", fs.create(&qpath))?;
                     let mut buf = String::new();
                     for line in &bad_lines {
                         buf.push_str(line);
                         buf.push('\n');
                     }
-                    crate::vfs::acct("journal", qf.write_all(buf.as_bytes()))?;
-                    crate::vfs::acct("journal", qf.sync_data())?;
+                    acct(fs, "journal", qf.write_all(buf.as_bytes()))?;
+                    acct(fs, "journal", qf.sync_data())?;
                 }
                 eprintln!(
                     "warning: {} unusable journal line(s) quarantined to {}",
@@ -795,30 +784,31 @@ impl Journal {
         // caught by the startup litter sweep.
         let tmp = crate::artifact::unique_tmp(&path);
         let rewritten = (|| {
-            let mut tf = crate::vfs::acct("journal", fs.create(&tmp))?;
+            let mut tf = acct(fs, "journal", fs.create(&tmp))?;
             let mut buf = String::new();
             for line in &kept_lines {
                 buf.push_str(line);
                 buf.push('\n');
             }
-            crate::vfs::acct("journal", tf.write_all(buf.as_bytes()))?;
-            crate::vfs::acct("journal", tf.sync_data())?;
-            crate::vfs::acct("journal", fs.rename(&tmp, &path))
+            acct(fs, "journal", tf.write_all(buf.as_bytes()))?;
+            acct(fs, "journal", tf.sync_data())?;
+            acct(fs, "journal", fs.rename(&tmp, &path))
         })();
         if let Err(e) = rewritten {
             if let Err(re) = fs.remove_file(&tmp) {
-                let _ = crate::io_faults::account("journal", &re);
+                let _ = fs.account("journal", &re);
             }
             return Err(e);
         }
         if let Err(e) = fs.sync_dir(dir) {
             // Ignored (the rewrite is already consistent at the file
             // level) but accounted.
-            let _ = crate::io_faults::account("journal", &e);
+            let _ = fs.account("journal", &e);
         }
 
-        let file = crate::vfs::acct("journal", fs.open_append(&path))?;
+        let file = acct(fs, "journal", fs.open_append(&path))?;
         Ok(Journal {
+            disk,
             path,
             fingerprint,
             replayed,
@@ -829,8 +819,6 @@ impl Journal {
                 file,
                 seq: kept_lines.len() as u64,
                 appended: 0,
-                append_retries: 0,
-                append_failures: 0,
             }),
         })
     }
@@ -848,14 +836,6 @@ impl Journal {
     /// Number of records appended by *this* process.
     pub fn appended(&self) -> u64 {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).appended
-    }
-
-    /// `(retries, exhausted failures)` of the append path — the
-    /// journal's fault-accounting counters.
-    pub fn append_faults(&self) -> (u64, u64) {
-        let inner =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        (inner.append_retries, inner.append_failures)
     }
 
     /// Claims the labels of one sweep about to run against this
@@ -926,15 +906,14 @@ impl Journal {
         let mut outcome_io = Ok(());
         for attempt in 0..3u32 {
             if attempt > 0 {
-                inner.append_retries += 1;
                 std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
             }
             let payload =
                 if dirty { format!("\n{line}\n") } else { format!("{line}\n") };
             let wrote = (|| {
-                crate::vfs::acct("journal", inner.file.write_all(payload.as_bytes()))?;
-                crate::vfs::acct("journal", inner.file.flush())?;
-                crate::vfs::acct("journal", inner.file.sync_data())
+                acct(&*self.disk, "journal", inner.file.write_all(payload.as_bytes()))?;
+                acct(&*self.disk, "journal", inner.file.flush())?;
+                acct(&*self.disk, "journal", inner.file.sync_data())
             })();
             match wrote {
                 Ok(()) => {
@@ -947,10 +926,7 @@ impl Journal {
                 }
             }
         }
-        if let Err(e) = outcome_io {
-            inner.append_failures += 1;
-            return Err(e);
-        }
+        outcome_io?;
         inner.seq += 1;
         inner.appended += 1;
         if Some(inner.appended) == self.crash_after {
@@ -967,6 +943,11 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
+
+    fn open(dir: &Path, fingerprint: &str, resume: bool) -> Journal {
+        Journal::open(Arc::new(RealVfs), dir, "exp", fingerprint.into(), resume).unwrap()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1031,7 +1012,7 @@ mod tests {
     fn truncated_garbage_flipped_crc_and_version_bump_are_quarantined() {
         let dir = tmpdir("robust");
         {
-            let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
+            let j = open(&dir, "aaaa0001", false);
             append_ok(&j, "cell/one", "u1|1");
             append_ok(&j, "cell/two", "u1|2");
         }
@@ -1073,7 +1054,7 @@ mod tests {
         );
         std::fs::write(&path, doctored).unwrap();
 
-        let j = Journal::open(&dir, "exp", "aaaa0001".into(), true).unwrap();
+        let j = open(&dir, "aaaa0001", true);
         let report = j.open_report();
         assert_eq!(report.replayed, 1, "only the intact record replays");
         assert!(j.completed("cell/one").is_some());
@@ -1095,10 +1076,10 @@ mod tests {
     fn fingerprint_mismatch_is_ignored_never_reused() {
         let dir = tmpdir("fp");
         {
-            let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
+            let j = open(&dir, "aaaa0001", false);
             append_ok(&j, "cell/one", "u1|1");
         }
-        let j = Journal::open(&dir, "exp", "bbbb0002".into(), true).unwrap();
+        let j = open(&dir, "bbbb0002", true);
         assert_eq!(j.open_report().fingerprint_mismatches, 1);
         assert!(j.completed("cell/one").is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1108,13 +1089,13 @@ mod tests {
     fn failed_and_quarantined_records_rerun_on_resume() {
         let dir = tmpdir("failed");
         {
-            let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
+            let j = open(&dir, "aaaa0001", false);
             append_ok(&j, "cell/good", "u1|1");
             j.append("cell/bad", "failed", 1, "boom", "", 0, 0.0, 0.0).unwrap();
             j.append("cell/worse", "quarantined", 3, "deadline", "", 0, 0.0, 0.0)
                 .unwrap();
         }
-        let j = Journal::open(&dir, "exp", "aaaa0001".into(), true).unwrap();
+        let j = open(&dir, "aaaa0001", true);
         assert_eq!(j.open_report().replayed, 1);
         assert_eq!(j.open_report().failed_records, 2);
         assert!(j.completed("cell/bad").is_none());
@@ -1126,14 +1107,14 @@ mod tests {
     fn fresh_open_truncates_but_resume_keeps() {
         let dir = tmpdir("fresh");
         {
-            let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
+            let j = open(&dir, "aaaa0001", false);
             append_ok(&j, "cell/one", "u1|1");
         }
         {
-            let j = Journal::open(&dir, "exp", "aaaa0001".into(), true).unwrap();
+            let j = open(&dir, "aaaa0001", true);
             assert_eq!(j.open_report().replayed, 1);
         }
-        let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
+        let j = open(&dir, "aaaa0001", false);
         assert_eq!(j.open_report().replayed, 0);
         assert!(j.completed("cell/one").is_none());
         assert_eq!(

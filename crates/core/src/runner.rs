@@ -12,7 +12,7 @@
 //!    journal rather than executed).
 //! 2. **Shared preparation, no convoying** — cells that name the same
 //!    (scenario, benchmark) pair share one [`PreparedWorkload`], built
-//!    once (or decoded from the process-global
+//!    once (or fetched from the
 //!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
 //!    gets there first and handed out as an `Arc`. A cell that finds
 //!    its preparation *in flight* parks on the slot instead of
@@ -49,7 +49,7 @@
 
 use crate::journal::{Journal, JournalPayload};
 use crate::sim::{self, SimConfig, SimResult};
-use crate::snapshot_cache;
+use crate::snapshot_cache::{self, SnapshotStore};
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
 use std::any::Any;
@@ -212,14 +212,16 @@ static METRICS: Mutex<Vec<CellMetric>> = Mutex::new(Vec::new());
 /// Locks a mutex, recovering the data if a previous holder panicked.
 /// Every runner structure is either append-only (metrics), a work queue
 /// whose items are consumed whole, or a prep slot that a failed builder
-/// leaves `None` (retryable) — so the data is consistent even after a
-/// mid-critical-section panic and poisoning carries no information.
-fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// leaves `None` (retryable), and the preparation cache's map and
+/// counters are updated in single statements — so the data is
+/// consistent even after a mid-critical-section panic and poisoning
+/// carries no information.
+pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a `catch_unwind` payload as the human-readable panic message.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -286,8 +288,9 @@ pub fn take_metrics() -> Vec<CellMetric> {
 }
 
 /// Supervision policy for one sweep: worker width, the watchdog's
-/// retry budget and hard deadline, and the durable journal (if the
-/// invocation wants crash-safe progress).
+/// retry budget and hard deadline, the durable journal (if the
+/// invocation wants crash-safe progress), and the snapshot store (if
+/// preparations should persist to disk).
 pub struct SweepOptions<'a> {
     /// Worker threads. Results are identical at any value.
     pub jobs: usize,
@@ -300,12 +303,16 @@ pub struct SweepOptions<'a> {
     pub hard_deadline: Option<f64>,
     /// Durable cell journal for crash-safe progress and `--resume`.
     pub journal: Option<&'a Journal>,
+    /// Disk layer of the preparation cache; `None` keeps it
+    /// memory-only.
+    pub snapshots: Option<&'a SnapshotStore>,
 }
 
 impl SweepOptions<'_> {
-    /// A plain policy: `jobs` workers, no retries, no journal.
+    /// A plain policy: `jobs` workers, no retries, no journal, no
+    /// snapshot store.
     pub fn jobs_only(jobs: usize) -> Self {
-        SweepOptions { jobs, retries: 0, hard_deadline: None, journal: None }
+        SweepOptions { jobs, retries: 0, hard_deadline: None, journal: None, snapshots: None }
     }
 }
 
@@ -407,6 +414,7 @@ struct EngineOpts<'a, R> {
     retries: u32,
     hard: f64,
     hook: Option<Hook<'a, R>>,
+    snapshots: Option<&'a SnapshotStore>,
 }
 
 impl<'a, R: JournalPayload> EngineOpts<'a, R> {
@@ -420,6 +428,7 @@ impl<'a, R: JournalPayload> EngineOpts<'a, R> {
                 encode: encode_of::<R>,
                 decode: decode_of::<R>,
             }),
+            snapshots: opts.snapshots,
         }
     }
 }
@@ -431,6 +440,7 @@ impl<R> EngineOpts<'_, R> {
             retries: 0,
             hard: cell_hard_deadline(),
             hook: None,
+            snapshots: None,
         }
     }
 }
@@ -556,13 +566,14 @@ enum Acquired<R> {
 /// Obtains the shared workload for a cell without ever blocking the
 /// worker: a ready slot is a free hit, an in-flight slot parks the
 /// item, an empty slot makes this worker the builder (delegating to
-/// the process-global [`snapshot_cache`]). Whichever way the build
+/// [`snapshot_cache`] with the sweep's store). Whichever way the build
 /// ends, parked items are drained into the injector and sleeping
 /// workers are woken.
 fn acquire_prepared<R>(
     slots: &SlotMap<R>,
     injector: &Mutex<VecDeque<Item<R>>>,
     idle_cv: &Condvar,
+    snapshots: Option<&SnapshotStore>,
     item: Item<R>,
 ) -> Acquired<R> {
     let Work::Cell { scenario, spec, .. } = &item.work else {
@@ -597,7 +608,7 @@ fn acquire_prepared<R>(
     let Work::Cell { scenario, spec, .. } = &item.work else {
         unreachable!("cell items stay cells")
     };
-    let built = snapshot_cache::get_or_prepare(scenario, spec);
+    let built = snapshot_cache::get_or_prepare(scenario, spec, snapshots);
     let mut st = relock(&slot);
     let (result, woken) = match built {
         Ok(p) => {
@@ -797,7 +808,13 @@ fn engine<R: Send + 'static>(
                     // job under the watchdog.
                     let (item, ran): (Item<R>, Result<R, String>) =
                         if matches!(item.work, Work::Cell { .. }) {
-                            match acquire_prepared(prep_slots, injector, idle_cv, item) {
+                            match acquire_prepared(
+                                prep_slots,
+                                injector,
+                                idle_cv,
+                                opts.snapshots,
+                                item,
+                            ) {
                                 Acquired::Parked => continue,
                                 Acquired::Failed { item, reason } => (item, Err(reason)),
                                 Acquired::Ready { item, workload, prep_seconds } => {
@@ -945,6 +962,7 @@ pub fn run_tasks<R: Send + 'static>(tasks: Vec<SweepTask<R>>, jobs: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
     use colt_tlb::config::TlbConfig;
     use colt_workloads::spec::benchmark;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -1273,7 +1291,7 @@ mod tests {
         };
 
         let journal =
-            Journal::open(&dir, "jrnl", "cafe0001".to_string(), false).unwrap();
+            Journal::open(Arc::new(RealVfs), &dir, "jrnl", "cafe0001".into(), false).unwrap();
         let opts = SweepOptions {
             journal: Some(&journal),
             ..SweepOptions::jobs_only(2)
@@ -1287,7 +1305,7 @@ mod tests {
         // Resume: every cell replays, nothing executes, results and
         // submission order are identical.
         let journal =
-            Journal::open(&dir, "jrnl", "cafe0001".to_string(), true).unwrap();
+            Journal::open(Arc::new(RealVfs), &dir, "jrnl", "cafe0001".into(), true).unwrap();
         assert_eq!(journal.open_report().replayed, 4);
         let opts = SweepOptions {
             journal: Some(&journal),
@@ -1308,7 +1326,8 @@ mod tests {
             .join(format!("colt-runner-duplabel-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let journal = Journal::open(&dir, "dup", "cafe0002".to_string(), false).unwrap();
+        let journal =
+            Journal::open(Arc::new(RealVfs), &dir, "dup", "cafe0002".into(), false).unwrap();
         let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(1) };
         let task = |label: &str| SweepTask::new(label.to_string(), 0, || 1u64);
 
@@ -1392,7 +1411,8 @@ mod tests {
 
         // First invocation: journaled to completion (the cache is warm
         // from here on, as after a killed run that finished some cells).
-        let journal = Journal::open(&dir, "warm", "beef0002".to_string(), false).unwrap();
+        let journal =
+            Journal::open(Arc::new(RealVfs), &dir, "warm", "beef0002".into(), false).unwrap();
         let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(2) };
         let first = expect_all(run_cells_sweep(make_cells(), &opts));
         let _ = take_metrics();
@@ -1401,7 +1421,8 @@ mod tests {
         // Resume against the same journal with the warm cache: every
         // cell replays from the journal, nothing re-prepares or
         // re-simulates, and the payloads are byte-identical.
-        let journal = Journal::open(&dir, "warm", "beef0002".to_string(), true).unwrap();
+        let journal =
+            Journal::open(Arc::new(RealVfs), &dir, "warm", "beef0002".into(), true).unwrap();
         assert_eq!(journal.open_report().replayed, 2);
         let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(2) };
         let second = expect_all(run_cells_sweep(make_cells(), &opts));

@@ -1,4 +1,5 @@
-//! Process-global workload-preparation cache with durable snapshots.
+//! Workload-preparation cache: a process-wide memory layer and durable
+//! disk snapshots.
 //!
 //! Preparing one (scenario, benchmark) pair — booting a kernel, aging
 //! it, running memhog and the allocation phase — costs ~100 ms, two
@@ -13,10 +14,15 @@
 //!    prepares many distinct pairs keeps a bounded working set of
 //!    multi-megabyte workloads. Evictions are counted in
 //!    [`CacheStats::mem_evictions`], never silent.
-//! 2. **Disk layer** — `results/snapshots/<fingerprint>.snap` (override
-//!    with `COLT_SNAPSHOT_DIR`), written atomically after each fresh
-//!    preparation, so a second `repro` invocation decodes the prepared
-//!    kernel instead of rebuilding it.
+//! 2. **Disk layer** — `<dir>/<fingerprint>.snap` under a
+//!    [`SnapshotStore`] the caller passes down
+//!    (`ExperimentOptions::snapshots` → `SweepOptions::snapshots` →
+//!    [`get_or_prepare`]), written atomically through the store's disk
+//!    after each fresh preparation, so a second `repro` invocation
+//!    decodes the prepared kernel instead of rebuilding it. `repro`
+//!    builds one store from `COLT_SNAPSHOT_DIR` (default
+//!    `results/snapshots`); without a store — the library default, so
+//!    `cargo test` binaries stay hermetic — the cache is memory-only.
 //!
 //! Snapshot files carry a magic, a format version, a CRC32 over the
 //! body, and the full preparation key. A corrupt or version-bumped file
@@ -30,16 +36,18 @@
 //! `repro --no-snapshot-cache` (→ [`set_enabled`]) disables both
 //! layers; intra-sweep sharing in the runner is unaffected.
 
+use crate::artifact::quarantine_path;
 use crate::journal::{crc32, fingerprint_of};
 use crate::lru::LruMap;
+use crate::runner::{panic_message, relock};
+use crate::vfs::{acct, Vfs};
 use colt_os_mem::snapshot::{Dec, Enc};
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Snapshot file format version. Bump whenever any `Snapshot` impl in
@@ -56,35 +64,15 @@ const MAGIC: &[u8; 8] = b"COLTSNAP";
 pub const DEFAULT_MEM_CAP: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
-static DISK: AtomicBool = AtomicBool::new(false);
 static MEM: Mutex<LruMap<Arc<PreparedWorkload>>> =
     Mutex::new(LruMap::bounded(DEFAULT_MEM_CAP));
 static STATS: Mutex<CacheStats> = Mutex::new(CacheStats::zero());
-/// Snapshot directories whose disk layer failed a store and is disabled
-/// for the rest of the process (one loud warning per directory).
-static DISK_FAILED: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
 
 /// Enables or disables the cache (both layers). `repro
 /// --no-snapshot-cache` turns it off for operators who suspect a stale
 /// snapshot or want to time cold preparation.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Opts this process into the disk layer. Off by default so library
-/// consumers — `cargo test` binaries above all — stay hermetic: they
-/// share preparations in memory but never read stale snapshots from
-/// (or write multi-megabyte files into) whatever directory they happen
-/// to run in. The `repro` binary opts in at startup.
-pub fn set_disk_persistence(enabled: bool) {
-    DISK.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the disk layer is currently opted in — lets a caller that
-/// must flip the flag (the torture harness) restore the prior state
-/// instead of leaking `true` into the rest of a test process.
-pub fn disk_persistence() -> bool {
-    DISK.load(Ordering::SeqCst)
 }
 
 /// Whether the cache is consulted at all.
@@ -150,10 +138,6 @@ pub fn clear_memory() {
     relock(&MEM).clear();
 }
 
-fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The canonical preparation key: every field of the scenario and the
 /// benchmark spec that can change the prepared state.
 pub fn prep_key(scenario: &Scenario, spec: &BenchmarkSpec) -> String {
@@ -181,18 +165,79 @@ pub struct Prepared {
     pub source: PrepSource,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "panic with non-string payload".to_string()
+/// The disk layer: a snapshot directory and the disk that reaches it.
+/// A store whose write fails is disabled for its remaining lifetime
+/// (one loud warning), so a dying disk is not retried on every
+/// preparation.
+#[derive(Debug)]
+pub struct SnapshotStore {
+    dir: PathBuf,
+    disk: Arc<dyn Vfs>,
+    failed: AtomicBool,
+}
+
+impl SnapshotStore {
+    /// A store under `dir` (created if absent) on `disk`.
+    ///
+    /// # Errors
+    /// The directory cannot be created.
+    pub fn open(dir: impl Into<PathBuf>, disk: Arc<dyn Vfs>) -> std::io::Result<Self> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        Ok(Self { dir, disk, failed: AtomicBool::new(false) })
+    }
+
+    /// The CLI's store on `disk`: `COLT_SNAPSHOT_DIR` when set, else
+    /// `results/snapshots`. A garbage or unusable value earns one loud
+    /// warning and `None` (no disk layer) — never a silent fallback to
+    /// the default.
+    pub fn from_env(disk: Arc<dyn Vfs>) -> Option<Self> {
+        let dir = match std::env::var("COLT_SNAPSHOT_DIR") {
+            Ok(raw) if raw.trim().is_empty() => {
+                eprintln!(
+                    "warning: COLT_SNAPSHOT_DIR is set but empty; snapshot \
+                     persistence disabled (unset it to use results/snapshots)"
+                );
+                return None;
+            }
+            Ok(raw) => PathBuf::from(raw),
+            Err(std::env::VarError::NotUnicode(_)) => {
+                eprintln!(
+                    "warning: COLT_SNAPSHOT_DIR is not valid UTF-8; snapshot \
+                     persistence disabled (unset it to use results/snapshots)"
+                );
+                return None;
+            }
+            Err(std::env::VarError::NotPresent) => PathBuf::from("results/snapshots"),
+        };
+        match Self::open(&dir, disk) {
+            Ok(store) => Some(store),
+            Err(e) => {
+                eprintln!(
+                    "warning: snapshot directory {} is unusable ({e}); snapshot \
+                     persistence disabled for this run",
+                    dir.display()
+                );
+                None
+            }
+        }
+    }
+
+    fn usable(&self) -> bool {
+        !self.failed.load(Ordering::SeqCst)
+    }
+
+    /// Disables the store after a failed write. True the first time
+    /// (the caller prints the one loud warning then; repeats stay
+    /// quiet).
+    fn disable(&self) -> bool {
+        !self.failed.swap(true, Ordering::SeqCst)
     }
 }
 
-/// Fetches (memory, then disk) or builds the prepared workload for one
-/// (scenario, spec) pair, persisting fresh builds to disk.
+/// Fetches (memory, then `store`'s disk) or builds the prepared
+/// workload for one (scenario, spec) pair, persisting fresh builds to
+/// `store`. Without a store the cache is memory-only.
 ///
 /// # Errors
 /// A human-readable description when preparation fails or panics (cache
@@ -200,16 +245,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn get_or_prepare(
     scenario: &Scenario,
     spec: &BenchmarkSpec,
+    store: Option<&SnapshotStore>,
 ) -> Result<Prepared, String> {
     let key = prep_key(scenario, spec);
+    let disk_layer = || store.filter(|s| s.usable());
     if enabled() {
         if let Some(w) = relock(&MEM).get(&key).map(Arc::clone) {
             bump(|s| s.mem_hits += 1);
             return Ok(Prepared { workload: w, prep_seconds: 0.0, source: PrepSource::Memory });
         }
-        if let Some(dir) = disk_layer() {
+        if let Some(store) = disk_layer() {
             let start = Instant::now();
-            if let Some(w) = load_from(&dir, &key, spec) {
+            if let Some(w) = load_from(&*store.disk, &store.dir, &key, spec) {
                 let secs = start.elapsed().as_secs_f64();
                 let w = Arc::new(w);
                 let evicted = relock(&MEM).insert(key, Arc::clone(&w));
@@ -248,10 +295,10 @@ pub fn get_or_prepare(
     if enabled() {
         let evicted = relock(&MEM).insert(key.clone(), Arc::clone(&workload));
         bump(|s| s.mem_evictions += evicted);
-        if let Some(dir) = disk_layer() {
+        if let Some(store) = disk_layer() {
             let start = Instant::now();
             let failure = match catch_unwind(AssertUnwindSafe(|| {
-                store_to(&dir, &key, &workload)
+                store_to(&*store.disk, &store.dir, &key, &workload)
             })) {
                 Ok(Ok(())) => None,
                 Ok(Err(e)) => Some(e.to_string()),
@@ -259,17 +306,17 @@ pub fn get_or_prepare(
             };
             if let Some(why) = failure {
                 // Never abort the sweep over a snapshot write: degrade
-                // to mem-cache-only for this directory, one loud
-                // warning, and stop retrying a disk that just failed.
-                if note_disk_failure(&dir) {
+                // to mem-cache-only for this store, one loud warning,
+                // and stop retrying a disk that just failed.
+                if store.disable() {
                     eprintln!(
                         "warning: could not persist preparation snapshot for \
                          '{}'/{} under {} ({why}); the sweep continues with the \
                          memory layer only and snapshot persistence under this \
-                         directory is disabled for the rest of the process",
+                         directory is disabled from here on",
                         scenario.name,
                         spec.name,
-                        dir.display()
+                        store.dir.display()
                     );
                 }
             }
@@ -277,96 +324,6 @@ pub fn get_or_prepare(
         }
     }
     Ok(Prepared { workload, prep_seconds, source: PrepSource::Built })
-}
-
-/// The disk layer as seen by `get_or_prepare`: the snapshot directory
-/// when this process opted in via [`set_disk_persistence`], else
-/// `None`. The binary's cold/warm disk behavior is exercised by
-/// `scripts/verify.sh`, and the store/load functions are unit-tested
-/// directly against scratch directories.
-fn disk_layer() -> Option<PathBuf> {
-    if !DISK.load(Ordering::SeqCst) {
-        return None;
-    }
-    let dir = snapshot_dir()?;
-    if disk_dir_disabled(&dir) {
-        return None;
-    }
-    Some(dir)
-}
-
-/// Records a store failure under `dir`, disabling its disk layer for
-/// the rest of the process. Returns true the first time (the caller
-/// prints the one loud warning then; repeats stay quiet).
-fn note_disk_failure(dir: &Path) -> bool {
-    relock(&DISK_FAILED).insert(dir.to_path_buf())
-}
-
-fn disk_dir_disabled(dir: &Path) -> bool {
-    relock(&DISK_FAILED).contains(dir)
-}
-
-static DIR_WARNED: Once = Once::new();
-
-/// Programmatic snapshot-directory override, taking precedence over
-/// `COLT_SNAPSHOT_DIR`. The torture harness points each cycle at its
-/// own scratch directory this way — mutating the environment of a
-/// multi-threaded process mid-run would race every other reader.
-static DIR_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Overrides (or, with `None`, restores) the snapshot directory for
-/// this process.
-pub fn set_dir_override(dir: Option<PathBuf>) {
-    *relock(&DIR_OVERRIDE) = dir;
-}
-
-/// The snapshot directory: the programmatic override when set, else
-/// `COLT_SNAPSHOT_DIR` when set (a garbage or
-/// unusable value earns one loud warning, then disk persistence is
-/// skipped — never a silent fallback to the default), otherwise
-/// `results/snapshots`. `None` when the directory cannot be created.
-fn snapshot_dir() -> Option<PathBuf> {
-    if let Some(dir) = relock(&DIR_OVERRIDE).clone() {
-        return match std::fs::create_dir_all(&dir) {
-            Ok(()) => Some(dir),
-            Err(_) => None,
-        };
-    }
-    let dir = match std::env::var("COLT_SNAPSHOT_DIR") {
-        Ok(raw) if raw.trim().is_empty() => {
-            DIR_WARNED.call_once(|| {
-                eprintln!(
-                    "warning: COLT_SNAPSHOT_DIR is set but empty; snapshot \
-                     persistence disabled (unset it to use results/snapshots)"
-                );
-            });
-            return None;
-        }
-        Ok(raw) => PathBuf::from(raw),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            DIR_WARNED.call_once(|| {
-                eprintln!(
-                    "warning: COLT_SNAPSHOT_DIR is not valid UTF-8; snapshot \
-                     persistence disabled (unset it to use results/snapshots)"
-                );
-            });
-            return None;
-        }
-        Err(std::env::VarError::NotPresent) => PathBuf::from("results/snapshots"),
-    };
-    match std::fs::create_dir_all(&dir) {
-        Ok(()) => Some(dir),
-        Err(e) => {
-            DIR_WARNED.call_once(|| {
-                eprintln!(
-                    "warning: snapshot directory {} is unusable ({e}); snapshot \
-                     persistence disabled for this run",
-                    dir.display()
-                );
-            });
-            None
-        }
-    }
 }
 
 pub(crate) fn snapshot_path(dir: &Path, key: &str) -> PathBuf {
@@ -383,10 +340,11 @@ pub(crate) fn snapshot_body(key: &str, workload: &PreparedWorkload) -> Vec<u8> {
     enc.finish()
 }
 
-/// Serializes and atomically writes one preparation snapshot, fsynced
-/// so a later crash cannot leave a torn file behind the rename, then
-/// fsyncs the directory so the rename itself survives a power cut.
+/// Serializes and atomically writes one preparation snapshot on `disk`,
+/// fsynced so a later crash cannot leave a torn file behind the rename,
+/// then fsyncs the directory so the rename itself survives a power cut.
 pub(crate) fn store_to(
+    disk: &dyn Vfs,
     dir: &Path,
     key: &str,
     workload: &PreparedWorkload,
@@ -394,53 +352,53 @@ pub(crate) fn store_to(
     let body = snapshot_body(key, workload);
     let path = snapshot_path(dir, key);
     let tmp = crate::artifact::unique_tmp(&path);
-    let fs = crate::vfs::active();
     let written = (|| {
-        use crate::vfs::acct;
-        let mut f = acct("snapshot", fs.create(&tmp))?;
-        acct("snapshot", f.write_all(MAGIC))?;
-        acct("snapshot", f.write_all(&SNAPSHOT_VERSION.to_le_bytes()))?;
-        acct("snapshot", f.write_all(&crc32(&body).to_le_bytes()))?;
-        acct("snapshot", f.write_all(&body))?;
-        acct("snapshot", f.sync_data())?;
-        acct("snapshot", fs.rename(&tmp, &path))
+        let mut f = acct(disk, "snapshot", disk.create(&tmp))?;
+        acct(disk, "snapshot", f.write_all(MAGIC))?;
+        acct(disk, "snapshot", f.write_all(&SNAPSHOT_VERSION.to_le_bytes()))?;
+        acct(disk, "snapshot", f.write_all(&crc32(&body).to_le_bytes()))?;
+        acct(disk, "snapshot", f.write_all(&body))?;
+        acct(disk, "snapshot", f.sync_data())?;
+        acct(disk, "snapshot", disk.rename(&tmp, &path))
     })();
     if written.is_err() {
-        if let Err(re) = fs.remove_file(&tmp) {
-            let _ = crate::io_faults::account("snapshot", &re);
+        if let Err(re) = disk.remove_file(&tmp) {
+            let _ = disk.account("snapshot", &re);
         }
-    } else if let Err(e) = fs.sync_dir(dir) {
+    } else if let Err(e) = disk.sync_dir(dir) {
         // Ignored — a snapshot is a cache, so a rename a power cut
         // undoes only costs a re-preparation — but accounted.
-        let _ = crate::io_faults::account("snapshot", &e);
+        let _ = disk.account("snapshot", &e);
     }
     written
 }
 
-/// Loads one preparation snapshot. `None` on: no file, a stored key
-/// that differs from `key` (stale or colliding — silently treated as a
-/// miss and later overwritten), or corruption (quarantined loudly).
+/// Loads one preparation snapshot from `disk`. `None` on: no file, a
+/// stored key that differs from `key` (stale or colliding — silently
+/// treated as a miss and later overwritten), or corruption (quarantined
+/// loudly).
 pub(crate) fn load_from(
+    disk: &dyn Vfs,
     dir: &Path,
     key: &str,
     spec: &BenchmarkSpec,
 ) -> Option<PreparedWorkload> {
     let path = snapshot_path(dir, key);
-    let bytes = match crate::vfs::active().read(&path) {
+    let bytes = match disk.read(&path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => {
             // A read fault is a miss, not corruption: the pair simply
             // re-prepares.
-            let _ = crate::io_faults::account("snapshot", &e);
+            let _ = disk.account("snapshot", &e);
             return None;
         }
     };
     match parse_snapshot(&bytes, key, spec) {
         Ok(found) => found,
         Err(why) => {
-            let _ = crate::io_faults::confirm_flip(&path);
-            quarantine(&path, &why);
+            let _ = disk.confirm_flip(&path);
+            quarantine(disk, &path, &why);
             None
         }
     }
@@ -485,16 +443,9 @@ fn parse_snapshot(
 /// Moves an unusable snapshot to the first free `<file>.corrupt-<n>`
 /// sibling — evidence is preserved, nothing corrupt is ever trusted or
 /// silently deleted.
-fn quarantine(path: &Path, why: &str) {
-    let mut n = 1;
-    let qpath = loop {
-        let candidate = PathBuf::from(format!("{}.corrupt-{n}", path.display()));
-        if !candidate.exists() {
-            break candidate;
-        }
-        n += 1;
-    };
-    match crate::vfs::active().rename(path, &qpath) {
+fn quarantine(disk: &dyn Vfs, path: &Path, why: &str) {
+    let qpath = quarantine_path(path);
+    match disk.rename(path, &qpath) {
         Ok(()) => eprintln!(
             "warning: unusable preparation snapshot {} ({why}); quarantined to {}, \
              the pair re-prepares",
@@ -502,7 +453,7 @@ fn quarantine(path: &Path, why: &str) {
             qpath.display()
         ),
         Err(e) => {
-            let _ = crate::io_faults::account("snapshot", &e);
+            let _ = disk.account("snapshot", &e);
             eprintln!(
                 "warning: unusable preparation snapshot {} ({why}); quarantine rename \
                  failed too ({e}), the pair re-prepares",
@@ -515,6 +466,7 @@ fn quarantine(path: &Path, why: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
     use colt_workloads::spec::benchmark;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -537,8 +489,8 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
-        let back = load_from(&dir, &key, &spec).expect("snapshot loads");
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
+        let back = load_from(&RealVfs, &dir, &key, &spec).expect("snapshot loads");
         assert_eq!(back.scenario_name, w.scenario_name);
         assert_eq!(back.footprint, w.footprint);
         assert_eq!(back.kernel.stats(), w.kernel.stats());
@@ -554,12 +506,12 @@ mod tests {
         let dir = tmpdir("keymiss");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
         // Forge a file under a different key's name holding this body.
         let other_key = "something else entirely";
         std::fs::rename(snapshot_path(&dir, &key), snapshot_path(&dir, other_key))
             .unwrap();
-        assert!(load_from(&dir, other_key, &spec).is_none());
+        assert!(load_from(&RealVfs, &dir, other_key, &spec).is_none());
         // The mismatched file is left in place (a miss, not quarantined).
         assert!(snapshot_path(&dir, other_key).exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -586,8 +538,8 @@ mod tests {
         // counters (and everything else) intact.
         let w = greedy.prepare(&spec).unwrap();
         let key = prep_key(&greedy, &spec);
-        store_to(&dir, &key, &w).unwrap();
-        let back = load_from(&dir, &key, &spec).expect("policy snapshot loads");
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
+        let back = load_from(&RealVfs, &dir, &key, &spec).expect("policy snapshot loads");
         assert_eq!(back.scenario_name, w.scenario_name);
         assert_eq!(back.kernel.stats(), w.kernel.stats());
         assert!(back.kernel.stats().policy_decisions > 0, "counters survive");
@@ -601,7 +553,7 @@ mod tests {
         let default_key = prep_key(&base, &spec);
         std::fs::rename(snapshot_path(&dir, &key), snapshot_path(&dir, &default_key))
             .unwrap();
-        assert!(load_from(&dir, &default_key, &spec).is_none());
+        assert!(load_from(&RealVfs, &dir, &default_key, &spec).is_none());
         assert!(snapshot_path(&dir, &default_key).exists(), "miss, not quarantine");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -611,7 +563,7 @@ mod tests {
         let dir = tmpdir("corrupt");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
         let path = snapshot_path(&dir, &key);
 
         // Flip one body byte: checksum fails, file is quarantined.
@@ -619,21 +571,21 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_from(&dir, &key, &spec).is_none());
+        assert!(load_from(&RealVfs, &dir, &key, &spec).is_none());
         assert!(!path.exists(), "corrupt file must be moved away");
         assert!(PathBuf::from(format!("{}.corrupt-1", path.display())).exists());
 
         // A version-bumped file (checksum valid) is quarantined too.
-        store_to(&dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_from(&dir, &key, &spec).is_none());
+        assert!(load_from(&RealVfs, &dir, &key, &spec).is_none());
         assert!(PathBuf::from(format!("{}.corrupt-2", path.display())).exists());
 
         // Truncation and garbage never parse.
         std::fs::write(&path, b"COLT").unwrap();
-        assert!(load_from(&dir, &key, &spec).is_none());
+        assert!(load_from(&RealVfs, &dir, &key, &spec).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -642,9 +594,9 @@ mod tests {
         let dir = tmpdir("overwrite");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
-        store_to(&dir, &key, &w).unwrap();
-        assert!(load_from(&dir, &key, &spec).is_some());
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
+        assert!(load_from(&RealVfs, &dir, &key, &spec).is_some());
         // No stray temp files left behind.
         let strays: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -665,12 +617,15 @@ mod tests {
         std::fs::write(&dir, b"plain file").unwrap();
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        assert!(store_to(&dir, &key, &w).is_err(), "store into a file must fail");
+        assert!(store_to(&RealVfs, &dir, &key, &w).is_err(), "store into a file must fail");
+        assert!(SnapshotStore::open(&dir, Arc::new(RealVfs)).is_err(), "not a directory");
         // The failed store is an io::Result, never a panic, and the
-        // degrade path marks the directory so disk_layer() skips it.
-        assert!(note_disk_failure(&dir), "first failure earns the warning");
-        assert!(!note_disk_failure(&dir), "repeat failures stay quiet");
-        assert!(disk_dir_disabled(&dir));
+        // degrade path disables the store so get_or_prepare skips it.
+        let store = SnapshotStore { dir, disk: Arc::new(RealVfs), failed: AtomicBool::new(false) };
+        assert!(store.usable());
+        assert!(store.disable(), "first failure earns the warning");
+        assert!(!store.disable(), "repeat failures stay quiet");
+        assert!(!store.usable());
         let _ = std::fs::remove_dir_all(&parent);
     }
 
@@ -722,7 +677,7 @@ mod tests {
         let dir = tmpdir("flip-torture");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
         let bytes = std::fs::read(snapshot_path(&dir, &key)).unwrap();
         let header_bits = 16 * 8;
         // Bound the body samples: each parse pays a full CRC pass over
@@ -749,7 +704,7 @@ mod tests {
         let dir = tmpdir("trunc-torture");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
+        store_to(&RealVfs, &dir, &key, &w).unwrap();
         let bytes = std::fs::read(snapshot_path(&dir, &key)).unwrap();
         let stride = ((bytes.len() - 64) / 100).max(1) | 1;
         let lens = (0..64.min(bytes.len()))

@@ -3,9 +3,9 @@
 //! create/write/fsync/rename/read/dir-fsync through.
 //!
 //! In production the seam is [`RealVfs`], a zero-cost pass-through to
-//! `std::fs`. Under `repro --io-faults` or `repro torture` a
-//! [`FaultyVfs`] is [installed](install) process-wide instead: it
-//! performs the real operations but consults a seeded
+//! `std::fs`. Under `repro --io-faults` or `repro torture` the caller
+//! hands a [`FaultyVfs`] to the writers instead: it performs the real
+//! operations but consults a seeded
 //! [`IoFaultPlan`](crate::io_faults::IoFaultPlan) before each one, and
 //! models the page cache — per-file *written* vs *durable* lengths, and
 //! renames that stay volatile until their directory is fsynced — so a
@@ -14,19 +14,21 @@
 //! dropped renames are the gap between the two, which is what the
 //! crash-consistency torture harness exists to probe. See DESIGN.md §16.
 //!
-//! The seam is installed globally (like the snapshot cache and the
-//! artifact tmp counter) because the writers are reached from sweep
-//! worker threads and process-global startup paths; threading a handle
-//! through every signature would change half the crate for the benefit
-//! of one test harness.
+//! The disk is a value, not a process-wide setting: every writer takes
+//! the `Vfs` it should use as an argument (the journal keeps the one it
+//! was opened on), and each `FaultyVfs` keeps its own fault ledger. Two
+//! disks in one process — a faulty one under torture and the real one
+//! under any other thread — never see each other's faults.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::io_faults::{self, injected_error, IoFaultCounts, IoFaultKind, IoFaultPlan};
+use crate::io_faults::{
+    injected_error, IoFaultCounts, IoFaultKind, IoFaultPlan, Ledger, LedgerSnapshot,
+};
 use colt_os_mem::faults::FaultConfig;
 
 /// An open file produced by [`Vfs::create`] or [`Vfs::open_append`].
@@ -41,7 +43,7 @@ pub trait VfsFile: Send {
 }
 
 /// The storage operations the durability substrate depends on.
-pub trait Vfs: Send + Sync {
+pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// Creates (truncating) a file for writing.
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Opens a file for appending, creating it if absent.
@@ -57,6 +59,21 @@ pub trait Vfs: Send + Sync {
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// fsyncs a directory, making renames within it durable.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+    /// Accounts one storage error that `layer` handled. Only a disk that
+    /// injects faults keeps a ledger; it counts its own marked errors
+    /// and returns whether `e` was one. Call this exactly once per
+    /// error, at the call site that first observes it — propagated
+    /// errors are already accounted by the module that made the call.
+    fn account(&self, _layer: &'static str, _e: &io::Error) -> bool {
+        false
+    }
+    /// A consumer noticed that bytes read from `path` are corrupt (CRC
+    /// mismatch, invalid framing, read-back inequality). Returns whether
+    /// the corruption was a flip this disk injected; only a disk that
+    /// injects flips has any to confirm.
+    fn confirm_flip(&self, _path: &Path) -> bool {
+        false
+    }
 }
 
 impl VfsFile for File {
@@ -99,42 +116,15 @@ impl Vfs for RealVfs {
     }
 }
 
-static INSTALLED: RwLock<Option<Arc<dyn Vfs>>> = RwLock::new(None);
-
-fn real() -> Arc<dyn Vfs> {
-    static REAL: OnceLock<Arc<dyn Vfs>> = OnceLock::new();
-    REAL.get_or_init(|| Arc::new(RealVfs)).clone()
-}
-
-/// Installs a seam process-wide. Every durable writer picks it up on its
-/// next operation.
-pub fn install(vfs: Arc<dyn Vfs>) {
-    *INSTALLED.write().unwrap_or_else(PoisonError::into_inner) = Some(vfs);
-}
-
-/// Restores the pass-through [`RealVfs`].
-pub fn reset() {
-    *INSTALLED.write().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// The currently installed seam ([`RealVfs`] unless something was
-/// [`install`]ed).
-pub fn active() -> Arc<dyn Vfs> {
-    INSTALLED
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-        .unwrap_or_else(real)
-}
-
-/// Accounts an injected error against its owning layer and passes the
-/// result through. Every durable writer wraps its `Vfs` calls in this at
-/// the call site, which is what makes the torture ledger identity exact:
-/// errors are accounted exactly once, where first observed, and
-/// propagated errors arrive upstream already counted.
-pub(crate) fn acct<T>(layer: &'static str, r: io::Result<T>) -> io::Result<T> {
+/// Accounts an injected error against its owning layer on `disk` and
+/// passes the result through. Every durable writer wraps its `Vfs`
+/// calls in this at the call site, which is what makes the torture
+/// ledger identity exact: errors are accounted exactly once, where
+/// first observed, and propagated errors arrive upstream already
+/// counted.
+pub(crate) fn acct<T>(disk: &dyn Vfs, layer: &'static str, r: io::Result<T>) -> io::Result<T> {
     if let Err(e) = &r {
-        let _ = io_faults::account(layer, e);
+        let _ = disk.account(layer, e);
     }
     r
 }
@@ -170,6 +160,7 @@ struct FaultyState {
     vol: BTreeMap<PathBuf, FileVol>,
     pending_renames: Vec<PendingRename>,
     renames_dropped: u64,
+    ledger: Ledger,
 }
 
 /// What a simulated power cut rolled back.
@@ -185,8 +176,8 @@ pub struct PowerCutReport {
 
 /// The fault-injecting seam: real I/O plus a seeded plan and a
 /// volatile-state model that a [`power_cut`](Self::power_cut) rolls
-/// back.
-#[derive(Clone)]
+/// back. Clones share one disk: its state, plan and ledger.
+#[derive(Clone, Debug)]
 pub struct FaultyVfs {
     state: Arc<Mutex<FaultyState>>,
 }
@@ -203,6 +194,7 @@ impl FaultyVfs {
                 vol: BTreeMap::new(),
                 pending_renames: Vec::new(),
                 renames_dropped: 0,
+                ledger: Ledger::default(),
             })),
         }
     }
@@ -227,6 +219,11 @@ impl FaultyVfs {
     /// Decision points consumed so far.
     pub fn decisions(&self) -> u64 {
         self.lock().plan.decisions()
+    }
+
+    /// What this disk's degradation sites have accounted so far.
+    pub fn ledger(&self) -> LedgerSnapshot {
+        self.lock().ledger.snapshot()
     }
 
     /// Renames rolled back by power cuts so far.
@@ -397,7 +394,7 @@ impl Vfs for FaultyVfs {
             Some(IoFaultKind::BitFlip) => {
                 let bit = (st.plan.extra() as usize) % (bytes.len() * 8);
                 bytes[bit / 8] ^= 1 << (bit % 8);
-                io_faults::record_flip(path);
+                st.ledger.record_flip(path);
                 Ok(bytes)
             }
             Some(kind) => Err(injected_error(kind, path)),
@@ -459,11 +456,20 @@ impl Vfs for FaultyVfs {
             }
         }
     }
+
+    fn account(&self, layer: &'static str, e: &io::Error) -> bool {
+        self.lock().ledger.account(layer, e)
+    }
+
+    fn confirm_flip(&self, path: &Path) -> bool {
+        self.lock().ledger.confirm_flip(path)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_faults;
 
     fn scratch(case: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -636,8 +642,6 @@ mod tests {
 
     #[test]
     fn bit_flips_are_recorded_until_confirmed() {
-        let _guard = io_faults::ledger_test_guard();
-        io_faults::reset_ledger();
         let dir = scratch("flip");
         let p = dir.join("payload.bin");
         std::fs::write(&p, vec![0u8; 256]).unwrap();
@@ -654,23 +658,51 @@ mod tests {
         assert_eq!(vfs.counts().bit_flips, 1);
         assert_eq!(bytes.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
         assert_eq!(std::fs::read(&p).unwrap(), vec![0u8; 256], "disk untouched");
-        assert_eq!(io_faults::ledger().flips_pending, 1);
-        assert!(io_faults::confirm_flip(&p));
-        assert_eq!(io_faults::ledger().flips_pending, 0);
-        io_faults::reset_ledger();
+        assert_eq!(vfs.ledger().flips_pending, 1);
+        assert!(vfs.confirm_flip(&p));
+        assert_eq!(vfs.ledger().flips_pending, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A faulty disk whose cut has fired (dead, not yet power-cut) is
+    /// only that disk: writers on the real disk succeed from another
+    /// thread meanwhile, and none of their operations reach the faulty
+    /// disk's ledger.
     #[test]
-    fn install_swaps_the_active_seam() {
-        let _guard = io_faults::ledger_test_guard();
-        let faulty = Arc::new(FaultyVfs::new(quiet()));
-        install(faulty.clone());
-        let dir = scratch("install");
-        let p = dir.join("via-seam.txt");
-        write_through(active().as_ref(), &p, b"seamed").unwrap();
-        reset();
-        assert_eq!(active().read(&p).unwrap(), b"seamed");
+    fn a_dead_faulty_disk_leaves_the_real_disk_untouched() {
+        let dir = scratch("isolation");
+        let faulty = FaultyVfs::new(quiet()).cut_after_syncs(1);
+        faulty.sync_dir(&dir).unwrap();
+        assert!(faulty.is_dead(), "the first sync fires the cut");
+        let before = (faulty.counts(), faulty.ledger().accounted, faulty.decisions());
+
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let path = dir.join("BENCH_real.json");
+                crate::artifact::atomic_write_json(&RealVfs, &path, "{\"ok\": 1}")
+                    .expect("the real disk writes");
+                assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\": 1}");
+                let journal = crate::journal::Journal::open(
+                    Arc::new(RealVfs),
+                    &dir.join("journal"),
+                    "exp",
+                    "aaaa0001".to_string(),
+                    false,
+                )
+                .expect("the real disk opens a journal");
+                journal.append("cell", "ok", 1, "", "payload", 0, 0.0, 0.0).unwrap();
+            })
+            .join()
+            .unwrap();
+        });
+
+        assert!(faulty.is_dead(), "still dead: nothing power-cut it");
+        assert_eq!(
+            (faulty.counts(), faulty.ledger().accounted, faulty.decisions()),
+            before,
+            "the real disk's operations never reach the faulty disk"
+        );
+        assert!(faulty.ledger().by_layer.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

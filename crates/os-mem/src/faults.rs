@@ -109,21 +109,22 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan drawing from `config`'s seed.
     pub fn new(config: FaultConfig) -> Self {
-        Self {
-            config,
-            rng: SmallRng::seed_from_u64(config.seed),
-            decisions: 0,
-            injected: 0,
-        }
+        Self::salted(config, 0)
     }
 
     /// A decorrelated sibling plan for shootdown delivery (used by the
     /// checker, which owns delivery, while the kernel owns allocation
     /// faults). Same config, disjoint stream.
     pub fn delivery(config: FaultConfig) -> Self {
+        Self::salted(config, 0xD311_7E12_5EED_CAFE)
+    }
+
+    /// A plan drawing from `config.seed ^ salt`: the same config on a
+    /// stream decorrelated from every plan built with another salt.
+    pub fn salted(config: FaultConfig, salt: u64) -> Self {
         Self {
             config,
-            rng: SmallRng::seed_from_u64(config.seed ^ 0xD311_7E12_5EED_CAFE),
+            rng: SmallRng::seed_from_u64(config.seed ^ salt),
             decisions: 0,
             injected: 0,
         }
@@ -146,7 +147,7 @@ impl FaultPlan {
 
     /// One decision point: draws from the stream and reports whether a
     /// fault fires (armed window AND rate hit).
-    fn fire(&mut self) -> bool {
+    pub fn fire(&mut self) -> bool {
         let armed = self.config.window == 0
             || (self.decisions / self.config.window) % 2 == 0;
         self.decisions += 1;
@@ -157,6 +158,13 @@ impl FaultPlan {
         } else {
             false
         }
+    }
+
+    /// An extra draw for shaping a fault that fired (its kind, size or
+    /// position). Only call after a hit, so the base stream stays
+    /// aligned.
+    pub fn extra(&mut self) -> u64 {
+        self.rng.next_u64()
     }
 
     /// Should this buddy allocation attempt fail spuriously?
@@ -173,7 +181,7 @@ impl FaultPlan {
     /// that much page cache right now (kswapd waking under pressure).
     pub fn reclaim_spike(&mut self) -> Option<u64> {
         if self.fire() {
-            Some(16 + self.rng.next_u64() % 49)
+            Some(16 + self.extra() % 49)
         } else {
             None
         }
@@ -182,7 +190,7 @@ impl FaultPlan {
     /// The fate of one shootdown delivery.
     pub fn delivery_fault(&mut self) -> DeliveryFault {
         if self.fire() {
-            if self.rng.next_u64() & 1 == 0 {
+            if self.extra() & 1 == 0 {
                 DeliveryFault::Drop
             } else {
                 DeliveryFault::Duplicate

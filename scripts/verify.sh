@@ -11,6 +11,8 @@
 # a storage-fault crash smoke (kill a sweep mid-run with the I/O fault
 # plan armed — ENOSPC, torn renames, failed fsyncs — then a clean
 # --resume must still be byte-identical),
+# an io-faults ledger stage (a whole pressure sweep under the I/O fault
+# plan must exit 0 with every injected error accounted at exit),
 # an MM-policy smoke (the policy sweep on a small grid, a
 # `--policy default` byte-identity diff, and policy-counter gates),
 # a seed-0 digest gate (each perfbench workload must reproduce the
@@ -131,7 +133,8 @@ IOCRASH_DIR=$(mktemp -d)
 CACHE_DIR=$(mktemp -d)
 POLICY_DIR=$(mktemp -d)
 RESUME_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$POLICY_DIR" "$RESUME_DIR"' EXIT
+LEDGER_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$POLICY_DIR" "$RESUME_DIR" "$LEDGER_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
 
 # MM-policy smoke: a small policy-sweep grid (every shipped policy x
@@ -241,6 +244,36 @@ if find "$IOCRASH_DIR/results" -name '*.tmp-*' | grep -q .; then
     exit 1
 fi
 echo "storage-fault crash smoke passed (resume byte-identical under injected ENOSPC + torn renames)"
+
+# io-faults ledger: the same I/O fault plan over a whole (uncrashed)
+# pressure sweep. The run must exit 0, injection must fire, every
+# injected error must be accounted by the layer that saw it, and no
+# flipped read may stay undetected. This is the only gate on the disk
+# `repro` itself hands to the journal, snapshot and artifact layers:
+# torture builds its own disks, and the crash smoke above aborts before
+# the exit ledger prints.
+LEDGER_ARGS=(--quick --bench Gobmk,Bzip2 --jobs 1 --io-faults rate=0.1,window=0,seed=23 pressure)
+echo "== io-faults ledger: repro ${LEDGER_ARGS[*]} =="
+if ! (cd "$LEDGER_DIR" && "$REPRO" "${LEDGER_ARGS[@]}" > /dev/null 2> ledger.err); then
+    echo "FAIL: the faulted pressure sweep exited nonzero" >&2
+    cat "$LEDGER_DIR/ledger.err" >&2
+    exit 1
+fi
+ledger_line=$(grep '^io-faults ledger:' "$LEDGER_DIR/ledger.err" || true)
+ledger_errors=$(sed -nE 's/.*\(([0-9]+) errors,.*/\1/p' <<< "$ledger_line")
+ledger_accounted=$(sed -nE 's/.*, ([0-9]+) accounted$/\1/p' <<< "$ledger_line")
+ledger_pending=$(grep -oE 'pending [0-9]+' "$LEDGER_DIR/ledger.err" | awk '{print $2}')
+if [[ -z "$ledger_errors" || -z "$ledger_accounted" || -z "$ledger_pending" ]]; then
+    echo "FAIL: no io-faults exit ledger in the faulted sweep's stderr" >&2
+    cat "$LEDGER_DIR/ledger.err" >&2
+    exit 1
+fi
+if (( ledger_errors == 0 || ledger_errors != ledger_accounted || ledger_pending != 0 )); then
+    echo "FAIL: io-faults ledger: $ledger_errors error(s) injected, $ledger_accounted accounted, $ledger_pending flip(s) pending" >&2
+    grep '^io-faults' "$LEDGER_DIR/ledger.err" >&2
+    exit 1
+fi
+echo "io-faults ledger passed ($ledger_errors injected error(s), all accounted, 0 flips pending)"
 
 # Multi-sweep resume smoke: ablation and fig16-17 run several sweeps
 # into one journal, so their cell labels must stay unique across

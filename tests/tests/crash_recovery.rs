@@ -9,6 +9,7 @@
 use colt_core::artifact;
 use colt_core::experiments::{pressure, run_named, ExperimentOptions};
 use colt_core::journal::Journal;
+use colt_core::vfs::RealVfs;
 use colt_os_mem::faults::FaultConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -46,7 +47,7 @@ fn small_opts() -> ExperimentOptions {
 fn run_pressure(dir: &Path, resume: bool) -> (String, u64, usize) {
     let base = small_opts();
     let journal = Arc::new(
-        Journal::open(dir, "pressure", base.fingerprint("pressure"), resume)
+        Journal::open(Arc::new(RealVfs), dir, "pressure", base.fingerprint("pressure"), resume)
             .expect("journal open"),
     );
     let opts = ExperimentOptions { journal: Some(Arc::clone(&journal)), ..base };
@@ -98,7 +99,8 @@ fn changed_flags_invalidate_the_journal_instead_of_reusing_it() {
         ..small_opts()
     };
     let journal =
-        Journal::open(&dir, "pressure", base.fingerprint("pressure"), true).unwrap();
+        Journal::open(Arc::new(RealVfs), &dir, "pressure", base.fingerprint("pressure"), true)
+            .unwrap();
     let report = journal.open_report();
     assert_eq!(report.replayed, 0, "no record may match the changed flags");
     assert_eq!(report.fingerprint_mismatches as u64, ran);
@@ -115,7 +117,8 @@ fn run_csv(dir: &Path, name: &str, resume: bool) -> (String, usize) {
         ..ExperimentOptions::quick().with_benchmarks(&["FastaProt"])
     };
     let journal = Arc::new(
-        Journal::open(dir, name, base.fingerprint(name), resume).expect("journal open"),
+        Journal::open(Arc::new(RealVfs), dir, name, base.fingerprint(name), resume)
+            .expect("journal open"),
     );
     let opts = ExperimentOptions { journal: Some(Arc::clone(&journal)), ..base };
     let run = run_named(name, &opts).expect("known experiment");
